@@ -268,9 +268,12 @@ impl Experiment {
             Some(plan) => {
                 self.runtime_cfg.validate().map_err(DeployError::InvalidSpec)?;
                 let dep = cloud.deploy_dag(plan)?;
-                // Per-stage reporting needs the internal hops; recording
-                // draws no randomness, so results are unperturbed.
+                // Per-stage reporting needs the internal hops — and the
+                // root completions too when the client will not retain
+                // them; recording draws no randomness, so results are
+                // unperturbed.
                 cloud.record_internal_completions(true);
+                cloud.record_root_completions(!self.measure.keep_samples);
                 let endpoint = Endpoint {
                     url: format!("https://{}.sim/{}", cloud.config().name, plan.name),
                     function: dep.root,
@@ -356,8 +359,12 @@ impl Experiment {
 /// contribution (infrastructure, execution, response) excluding the
 /// downstream round trip it waited on, so stages don't double-count their
 /// subtrees. Root-stage samples come from the client's completions
-/// (warm-up included), the other stages from the recorded internal
-/// completions.
+/// (warm-up included) when it retains them, otherwise from the cloud's
+/// recorded root completions with provider errors dropped as the client
+/// drops them; the other stages come from the recorded internal
+/// completions. Under a client policy the retained samples hold one
+/// winning attempt per logical request while the recorded roots hold
+/// every successful attempt, as the other stages always do.
 fn dag_run_stats(
     cloud: &mut CloudSim,
     plan: &DagPlan,
@@ -370,9 +377,9 @@ fn dag_run_stats(
         dep.functions.iter().enumerate().map(|(node, fid)| (fid.index(), node)).collect();
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); plan.nodes.len()];
     let internal = cloud.drain_internal_completions();
-    for c in
-        result.completions.iter().chain(result.warmup_completions.iter()).chain(internal.iter())
-    {
+    // Recorded roots are present only when the client kept no samples.
+    let recorded = internal.iter().filter(|c| !c.origin.is_external() || c.is_ok());
+    for c in result.completions.iter().chain(result.warmup_completions.iter()).chain(recorded) {
         if let Some(&node) = node_of.get(&c.function.index()) {
             samples[node].push(c.breakdown.total_ms() - c.breakdown.chain_ms);
         }
@@ -585,6 +592,38 @@ mod tests {
             "an all-of-n join waits on its slowest branch: {}",
             dag.straggler_amplification
         );
+    }
+
+    /// Sketch mode retains no client samples, so the root stage must be
+    /// fed from the cloud's recorded root completions: every stage,
+    /// root included, reports the same statistics as the exact run.
+    #[test]
+    fn sketch_app_experiment_reports_stage_breakdown() {
+        let run = |measure| {
+            let mut runtime = RuntimeConfig::single(IatSpec::Fixed { ms: 500.0 }, 20);
+            runtime.warmup_rounds = 2;
+            Experiment::new(test_provider())
+                .app(fan_two())
+                .workload(runtime)
+                .seed(3)
+                .measure(measure)
+                .run()
+                .unwrap()
+        };
+        let sketch = run(MeasureSpec::sketch());
+        assert!(sketch.result.completions.is_empty(), "sketch mode retains no samples");
+        assert_eq!(sketch.summary.count, 20);
+        let dag = sketch.dag.expect("app runs report per-stage statistics");
+        assert_eq!(dag.stages.len(), 4);
+        for stage in &dag.stages {
+            assert_eq!(stage.count, 22, "{}: warm-up rounds traverse the DAG too", stage.name);
+            assert!(stage.median_ms > 0.0);
+            assert!(stage.p99_ms >= stage.median_ms);
+        }
+        let exact = run(MeasureSpec::exact()).dag.unwrap();
+        assert_eq!(dag.stages, exact.stages, "stage statistics must not depend on retention");
+        assert_eq!(dag.joins.len(), 1);
+        assert_eq!(dag.joins[0].fired, 22);
     }
 
     #[test]

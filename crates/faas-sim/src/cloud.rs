@@ -26,6 +26,7 @@ use crate::dag::DagPlan;
 use crate::events::CloudEvent;
 use crate::instance::Instance;
 use crate::loadbalancer::DispatchServer;
+use crate::loadindex::LoadIndex;
 use crate::request::{ColdBreakdown, Completion, RequestOrigin, TransferSample};
 use crate::scheduler::{desired_spawns, periodic_step, CapacitySnapshot, SpawnGovernor};
 use crate::spec::FunctionSpec;
@@ -281,16 +282,16 @@ struct FunctionState {
     committed_total: u32,
     /// Indices into `instances` believed idle (validated on pop).
     idle_stack: Vec<u32>,
-    /// Dense per-instance load mirror, parallel to `instances`:
-    /// `loads[idx]` caches `load(idx)` for live instances and pins dead
-    /// slots at `u32::MAX` (tombstones never win a min). Dead slots stay
-    /// in `instances` forever — indices are stable ids — so the
-    /// per-request least-loaded scan must not walk that struct-of-enums
-    /// vector; a contiguous `u32` sweep stays in one or two cache lines
-    /// per 16 instances and vectorizes. Committed assignment picks its
-    /// target by `min` over `(load, idx)`, which is order-independent, so
-    /// reading the cache is bit-identical to recomputing every entry.
-    loads: Vec<u32>,
+    /// Least-loaded index over per-instance loads, parallel to
+    /// `instances`: leaf `idx` caches `load(idx)` for a live instance and
+    /// is pinned at `u32::MAX` once it dies. Dead slots stay in
+    /// `instances` forever — indices are stable ids — so committed
+    /// assignment must not scan every slot per request; the index answers
+    /// "least loaded, lowest index" in O(1) and absorbs each load change
+    /// in O(log n). Its root is the `min` over packed `load << 32 | idx`
+    /// keys, which orders exactly like `(load, idx)` tuples, so the pick
+    /// is the same as a linear scan's (`loadindex::scan_min`).
+    loads: LoadIndex,
     n_idle: u32,
     n_busy: u32,
     n_booting: u32,
@@ -332,19 +333,11 @@ impl FunctionState {
         self.committed[idx].len() + usize::from(self.instances[idx].is_busy())
     }
 
-    /// Retires a just-died instance from the load cache: its slot is
-    /// pinned at `u32::MAX` so the least-loaded scan skips the tombstone
-    /// without a liveness check.
-    fn unlive(&mut self, idx: u32) {
-        debug_assert_ne!(self.loads[idx as usize], u32::MAX, "dying instance already dead");
-        self.loads[idx as usize] = u32::MAX;
-    }
-
     /// Debug-only lockstep check: every cached load matches a fresh
     /// recomputation (dead slots excepted — their ground truth is gone).
     #[cfg(debug_assertions)]
     fn check_loads(&self) {
-        for (idx, &cached) in self.loads.iter().enumerate() {
+        for (idx, &cached) in self.loads.loads().iter().enumerate() {
             if cached != u32::MAX {
                 debug_assert_eq!(cached as usize, self.load(idx), "load cache desync at {idx}");
             }
@@ -585,6 +578,10 @@ pub struct Cloud {
     internal_completions: Vec<Completion>,
     /// Whether to record internal completions (per-stage breakdowns).
     record_internal: bool,
+    /// Whether to also copy external completions into
+    /// `internal_completions`, for stage reports whose client discards
+    /// its samples.
+    record_roots: bool,
 }
 
 impl Cloud {
@@ -615,6 +612,7 @@ impl Cloud {
             dag_counters: BTreeMap::new(),
             internal_completions: Vec::new(),
             record_internal: false,
+            record_roots: false,
             cfg,
             functions: Vec::new(),
             requests: RequestArena::default(),
@@ -872,7 +870,7 @@ impl Cloud {
                 state.usage.on_release(iid.idx as usize, now);
                 state.n_busy -= 1;
                 state.n_idle += 1;
-                state.loads[iid.idx as usize] -= 1;
+                state.loads.sub(iid.idx as usize, 1);
                 state.idle_stack.push(iid.idx);
             }
             // The freed instance can take new work immediately.
@@ -937,7 +935,7 @@ impl Cloud {
         {
             let state = self.fstate_mut(fid);
             state.instances[iid.idx as usize].crash(rid);
-            state.unlive(iid.idx);
+            state.loads.unlive(iid.idx as usize);
             // Bank the busy span, then the lifetime: the instance is gone.
             state.usage.on_release(iid.idx as usize, now);
             state.usage.on_reap(iid.idx as usize, now);
@@ -973,7 +971,7 @@ impl Cloud {
             for idx in 0..state.instances.len() {
                 let epoch = state.instances[idx].epoch();
                 if state.instances[idx].try_reap(epoch) {
-                    state.unlive(idx as u32);
+                    state.loads.unlive(idx);
                     state.usage.on_reap(idx, now);
                     state.n_idle -= 1;
                     self.stats.reaps += 1;
@@ -1141,30 +1139,23 @@ impl Cloud {
         cap: usize,
         sched: &mut Scheduler<CloudEvent>,
     ) {
-        // One contiguous sweep over the u32 load cache (dead slots are
-        // pinned at MAX and can never win); recomputing load() per
-        // instance would touch two scattered arrays per candidate, and
-        // this scan runs once per request.
+        // The index root is the least `(load, idx)` over live instances;
+        // debug builds check it against ground truth and the linear scan.
+        let best = self.fstate(fid).loads.min();
         #[cfg(debug_assertions)]
-        self.fstate(fid).check_loads();
-        let best = {
+        {
             let state = self.fstate(fid);
-            // Two passes, both of which vectorize: the minimum load, then
-            // the first slot holding it. That pair is exactly the `min`
-            // over `(load, idx)` tuples — ties break to the lowest index.
-            match state.loads.iter().copied().min() {
-                None | Some(u32::MAX) => None,
-                Some(min) => {
-                    let idx =
-                        state.loads.iter().position(|&l| l == min).expect("minimum just found");
-                    Some((min as usize, idx))
-                }
-            }
-        };
+            state.check_loads();
+            debug_assert_eq!(
+                best,
+                crate::loadindex::scan_min(state.loads.loads()),
+                "load index disagrees with the linear scan"
+            );
+        }
         let headroom =
             self.fstate(fid).total_instances() < self.cfg.limits.max_instances_per_function;
         let target_idx = match best {
-            Some((load, idx)) if load < cap => {
+            Some((load, idx)) if (load as usize) < cap => {
                 if self.fstate(fid).instances[idx].is_idle() {
                     self.stats.warm_hits += 1;
                 }
@@ -1184,7 +1175,7 @@ impl Cloud {
         } else {
             state.committed[target_idx].push_back(rid);
             state.committed_total += 1;
-            state.loads[target_idx] += 1;
+            state.loads.add(target_idx, 1);
         }
     }
 
@@ -1204,7 +1195,7 @@ impl Cloud {
                 match queue.pop_front() {
                     Some(rid) => {
                         state.committed_total -= 1;
-                        state.loads[iid.idx as usize] -= 1;
+                        state.loads.sub(iid.idx as usize, 1);
                         Some(rid)
                     }
                     None => None,
@@ -1413,7 +1404,7 @@ impl Cloud {
             {
                 let state = self.fstate_mut(fid);
                 state.instances[iid.idx as usize].fail_boot();
-                state.unlive(iid.idx);
+                state.loads.unlive(iid.idx as usize);
                 state.n_booting -= 1;
             }
             let replacement = self.spawn_instance(now, fid, sched);
@@ -1422,7 +1413,7 @@ impl Cloud {
             }
             let orphaned = std::mem::take(&mut self.fstate_mut(fid).committed[iid.idx as usize]);
             let state = self.fstate_mut(fid);
-            state.loads[replacement.idx as usize] += orphaned.len() as u32;
+            state.loads.add(replacement.idx as usize, orphaned.len() as u32);
             state.committed[replacement.idx as usize].extend(orphaned);
             return;
         }
@@ -1476,7 +1467,7 @@ impl Cloud {
             state.usage.on_assign(iid.idx as usize, now);
             state.n_idle -= 1;
             state.n_busy += 1;
-            state.loads[iid.idx as usize] += 1;
+            state.loads.add(iid.idx as usize, 1);
             first_use
         };
         self.metrics.inc(if first_use { metric::COLD_STARTS } else { metric::WARM_STARTS });
@@ -1921,7 +1912,7 @@ impl Cloud {
             state.usage.on_release(iid.idx as usize, now);
             state.n_busy -= 1;
             state.n_idle += 1;
-            state.loads[iid.idx as usize] -= 1;
+            state.loads.sub(iid.idx as usize, 1);
             state.idle_stack.push(iid.idx);
         }
 
@@ -2002,7 +1993,7 @@ impl Cloud {
                         self.fault_stats.completed += 1;
                     }
                 }
-                self.completions.push(Completion {
+                let completion = Completion {
                     id: rid,
                     function: hot.function,
                     tag: cold.tag,
@@ -2012,7 +2003,11 @@ impl Cloud {
                     cold: hot.cold_start(),
                     breakdown: cold.breakdown,
                     error: cold.error,
-                });
+                };
+                if self.record_roots {
+                    self.internal_completions.push(completion.clone());
+                }
+                self.completions.push(completion);
             }
             RequestOrigin::Internal { parent } => {
                 if let Some(meta) = self.join_meta.remove(&rid.packed()) {
@@ -2111,7 +2106,7 @@ impl Cloud {
     fn on_reap_check(&mut self, now: SimTime, iid: InstanceId, epoch: u64) {
         let state = self.fstate_mut(iid.function());
         if state.instances[iid.idx as usize].try_reap(epoch) {
-            state.unlive(iid.idx);
+            state.loads.unlive(iid.idx as usize);
             state.usage.on_reap(iid.idx as usize, now);
             state.n_idle -= 1;
             self.stats.reaps += 1;
@@ -2276,10 +2271,12 @@ impl CloudSim {
             + cloud.cfg.warm_path.overhead_ms.median_exact().unwrap_or(10.0)
                 * (cloud.cfg.warm_path.shares.steer + cloud.cfg.warm_path.shares.handling);
         let function_commit_cap = commit_cap(&cloud.cfg.scaling.policy, service_estimate_ms);
-        // Pre-size instance bookkeeping from the provider limit so the
-        // first scale-out burst never reallocates; capped so deployments
-        // under a generous limit stay cheap.
-        let cap = cloud.cfg.limits.max_instances_per_function.min(128) as usize;
+        // Room for a handful of instances up front; a function that
+        // scales out further grows its bookkeeping geometrically. Fleets
+        // deploy thousands of functions, most of which never run more
+        // than a few instances, so reserving a scale-out burst's worth
+        // for every function would dominate their memory footprint.
+        let cap = cloud.cfg.limits.max_instances_per_function.min(4) as usize;
         cloud.functions.push(FunctionState {
             spec,
             instances: Vec::with_capacity(cap),
@@ -2287,7 +2284,7 @@ impl CloudSim {
             committed: Vec::with_capacity(cap),
             committed_total: 0,
             idle_stack: Vec::with_capacity(cap),
-            loads: Vec::with_capacity(cap),
+            loads: LoadIndex::default(),
             n_idle: 0,
             n_busy: 0,
             n_booting: 0,
@@ -2444,8 +2441,17 @@ impl CloudSim {
         self.sim.model_mut().record_internal = on;
     }
 
+    /// Enables copying *external* completions into the internal-completion
+    /// buffer too, so per-stage reports can read the root stage when the
+    /// client streams its samples into sketches instead of retaining
+    /// them. Off by default; observational like internal recording.
+    pub fn record_root_completions(&mut self, on: bool) {
+        self.sim.model_mut().record_roots = on;
+    }
+
     /// Drains internal completions recorded since the last drain (see
-    /// [`CloudSim::record_internal_completions`]).
+    /// [`CloudSim::record_internal_completions`] and
+    /// [`CloudSim::record_root_completions`]).
     pub fn drain_internal_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.sim.model_mut().internal_completions)
     }

@@ -42,6 +42,7 @@ pub mod dag;
 pub mod events;
 pub mod instance;
 pub mod loadbalancer;
+pub(crate) mod loadindex;
 pub mod request;
 pub mod scheduler;
 pub mod spec;

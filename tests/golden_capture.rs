@@ -150,3 +150,141 @@ fn spec_driver_no_policy_matches_golden() {
         assert_eq!(digest(&r), golden, "{label}: no-policy spec driver drifted");
     }
 }
+
+/// `digest` plus the instance-lifecycle counters committed dispatch
+/// drives: a change in which instance a request lands on moves spawns,
+/// cold/warm starts and reaps even when the latency bits happen to agree.
+fn dispatch_digest(outcome: &stellar_core::experiment::Outcome) -> String {
+    use faas_sim::metric;
+    let m = &outcome.metrics;
+    format!(
+        "{} spawned={} cold_starts={} warm_starts={} boot_retries={} purged={} slots_hw={}",
+        digest(&outcome.result),
+        m.counter(metric::INSTANCES_SPAWNED),
+        m.counter(metric::COLD_STARTS),
+        m.counter(metric::WARM_STARTS),
+        m.counter(metric::BOOT_FAILURE_RETRIES),
+        m.counter(metric::FAULTS_PURGED_INSTANCES),
+        m.counter(metric::REQUEST_SLOTS_HIGH_WATER),
+    )
+}
+
+struct DispatchGolden {
+    label: &'static str,
+    provider: fn() -> faas_sim::ProviderConfig,
+    workload: &'static str,
+    samples: u32,
+    faults: Option<&'static str>,
+    digest: &'static str,
+}
+
+fn cost_aware() -> faas_sim::ProviderConfig {
+    let mut cfg = providers::profiles::aws_like();
+    cfg.scaling.policy = faas_sim::config::ScalePolicy::CostAware { cold_estimate_ms: 400.0 };
+    cfg
+}
+
+/// Three instances at most: bursts find every instance at the commit cap
+/// with no headroom left, so requests overcommit onto the least loaded.
+fn capped_at_three() -> faas_sim::ProviderConfig {
+    let mut cfg = providers::profiles::aws_like();
+    cfg.limits.max_instances_per_function = 3;
+    cfg
+}
+
+/// Target concurrency 4 queues commitments on booting instances, so a
+/// failed boot hands a non-empty committed queue to its replacement.
+fn google_failing_boots() -> faas_sim::ProviderConfig {
+    let mut cfg = providers::profiles::google_like();
+    cfg.cold_start.boot_failure_prob = 0.3;
+    cfg
+}
+
+/// Committed-assignment dispatch (the least-loaded instance pick behind
+/// `PerRequest`, `TargetConcurrency` and `CostAware`) pinned across every
+/// path that changes an instance's load: assignment, commit, release,
+/// the overcommit arm at the instance cap, orphaned commitments moving to
+/// a boot-failure replacement or re-dispatched after a crash, and bulk
+/// purges. Captured before the linear least-loaded scan was replaced by
+/// an indexed minimum; any change to tie-breaking or to a load update
+/// shows up here.
+#[test]
+fn committed_dispatch_matches_golden() {
+    use providers::profiles::{aws_like, google_like};
+    let goldens = [
+        DispatchGolden {
+            label: "aws-multi-tenant-200k",
+            provider: aws_like,
+            workload: "multi-tenant",
+            samples: 200_000,
+            faults: None,
+            digest: "measured=200000 warmup=10 cold=1409 dur_ns=5263827022176 mean=0x4048c43fc45026a8 p50=0x4046270dcb6ba579 p99=0x405dfeb776285b11 spawned=1419 cold_starts=1419 warm_starts=198591 boot_retries=0 purged=0 slots_hw=673",
+        },
+        DispatchGolden {
+            label: "google-target-4",
+            provider: google_like,
+            workload: "mmpp-burst",
+            samples: 20_000,
+            faults: None,
+            digest: "measured=20000 warmup=10 cold=51 dur_ns=1029475888861 mean=0x404165de0d2eff84 p50=0x403f135181e24582 p99=0x404ec5af23b62f42 spawned=54 cold_starts=54 warm_starts=19956 boot_retries=0 purged=0 slots_hw=520",
+        },
+        DispatchGolden {
+            label: "cost-aware",
+            provider: cost_aware,
+            workload: "mmpp-burst",
+            samples: 20_000,
+            faults: None,
+            digest: "measured=20000 warmup=10 cold=251 dur_ns=1029475888861 mean=0x4049d200749aaa9f p50=0x4046398cfae83ef9 p99=0x40714967edd55b11 spawned=252 cold_starts=252 warm_starts=19758 boot_retries=0 purged=0 slots_hw=520",
+        },
+        DispatchGolden {
+            label: "instance-cap-overcommit",
+            provider: capped_at_three,
+            workload: "mmpp-burst",
+            samples: 5_000,
+            faults: None,
+            digest: "measured=5000 warmup=10 cold=0 dur_ns=282094596744 mean=0x404884041bac4e8f p50=0x4046aa4619a2b00c p99=0x40594cd336deb95e spawned=3 cold_starts=3 warm_starts=5007 boot_retries=0 purged=0 slots_hw=361",
+        },
+        DispatchGolden {
+            label: "boot-failure-orphans",
+            provider: google_failing_boots,
+            workload: "mmpp-burst",
+            samples: 20_000,
+            faults: None,
+            digest: "measured=20000 warmup=10 cold=59 dur_ns=1029475888861 mean=0x40427bc3e002ddc0 p50=0x403f15a98d478815 p99=0x404f344e8125bdb9 spawned=100 cold_starts=62 warm_starts=19948 boot_retries=38 purged=0 slots_hw=520",
+        },
+        DispatchGolden {
+            label: "purge-storm",
+            provider: aws_like,
+            workload: "mmpp-burst",
+            samples: 20_000,
+            faults: Some("purge-storm"),
+            digest: "measured=20000 warmup=10 cold=1561 dur_ns=1029475888861 mean=0x40510a91599710aa p50=0x4046a5769b8028e6 p99=0x4075eac0ef7ea87c spawned=1571 cold_starts=1571 warm_starts=18439 boot_retries=0 purged=1571 slots_hw=520",
+        },
+        DispatchGolden {
+            label: "crash-orphans",
+            provider: google_like,
+            workload: "mmpp-burst",
+            samples: 20_000,
+            faults: Some("crash-2pct"),
+            digest: "measured=19611 warmup=10 cold=406 dur_ns=1029475888861 mean=0x405d8527e8ce5d86 p50=0x404002f8ec872b7c p99=0x409aee7f18700e59 spawned=412 cold_starts=412 warm_starts=19598 boot_retries=0 purged=0 slots_hw=520",
+        },
+    ];
+    let mut drifted = Vec::new();
+    for g in goldens {
+        let mut runtime = RuntimeConfig::single(IatSpec::short(), g.samples);
+        runtime.warmup_rounds = 10;
+        runtime.workload = Some(WorkloadSpec::preset(g.workload).unwrap());
+        runtime.faults = g.faults.map(|name| faults::FaultSpec::preset(name).unwrap());
+        let outcome = stellar_core::experiment::Experiment::new((g.provider)())
+            .workload(runtime)
+            .seed(CLOUD_SEED)
+            .measure(MeasureSpec::sketch())
+            .run()
+            .expect("golden run");
+        let got = dispatch_digest(&outcome);
+        if got != g.digest {
+            drifted.push(format!("{}: {got}", g.label));
+        }
+    }
+    assert!(drifted.is_empty(), "committed dispatch drifted:\n{}", drifted.join("\n"));
+}
