@@ -5,6 +5,10 @@
 //! optionally issuing `burst_size` simultaneous requests per round, and
 //! collects per-request latency samples plus the intra-function transfer
 //! timestamps.
+//!
+//! Every driver submits and drains in bounded time slices and feeds one
+//! measurement sink; the [`MeasureSpec`] picks only the quantile engine
+//! and whether sample vectors are retained, never the simulated run.
 
 use faas_sim::cloud::CloudSim;
 use faas_sim::request::{Completion, TransferSample};
@@ -15,17 +19,20 @@ use workload::arrival::ArrivalProcess;
 use workload::spec::{ModeSpec, WorkloadSpec};
 use workload::stats::{LoadRecorder, OfferedLoad};
 
-use crate::config::{IatSpec, RuntimeConfig};
+use crate::config::{workload_from_iat, RuntimeConfig};
 use crate::deployer::Deployment;
 
 /// How the client measures a run: which quantile machinery to use and
 /// whether to retain per-request sample vectors.
 ///
-/// The default (`Exact` + `keep_samples`) is the legacy behaviour every
-/// figure pipeline relies on: full completion vectors, exact percentiles.
-/// Large runs switch to [`QuantileMode::Sketch`] without `keep_samples`,
-/// which streams completions through a [`LatencyAgg`] in bounded slices —
-/// peak latency storage is the sketch, not a `Vec<f64>` of every request.
+/// The default (`Exact` + `keep_samples`) is what every figure pipeline
+/// relies on: full completion vectors, exact percentiles. Large runs
+/// switch to [`QuantileMode::Sketch`] without `keep_samples`, which folds
+/// each slice's completions into a [`LatencyAgg`] and drops them — peak
+/// latency storage is the sketch, not a `Vec<f64>` of every request.
+/// Either way the drivers run the identical slice loop, so the simulated
+/// run (event sequence, duration, slab occupancy) does not depend on the
+/// spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasureSpec {
     /// Quantile machinery for summaries.
@@ -102,7 +109,7 @@ pub struct RunResult {
     /// Wall-clock (simulated) duration of the whole run.
     pub duration: SimTime,
     /// Realized offered-load summary. Populated by workload-spec runs
-    /// ([`run_workload_spec`]); `None` on legacy IAT runs.
+    /// ([`run_workload_spec`]); `None` on IAT runs.
     pub offered: Option<OfferedLoad>,
     /// Tail-tolerance policy accounting. Populated only when the run's
     /// [`RuntimeConfig`](crate::config::RuntimeConfig) carried a policy;
@@ -156,7 +163,8 @@ pub enum ClientError {
         received: usize,
         /// Completions expected.
         expected: usize,
-        /// The completions that did arrive, for post-mortem debugging.
+        /// The measured completions that did arrive, for post-mortem
+        /// debugging; empty when the run kept no samples.
         completions: Vec<Completion>,
     },
 }
@@ -174,15 +182,6 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
-
-/// Samples the next inter-arrival gap.
-fn sample_iat_ms(iat: &IatSpec, rng: &mut Rng) -> f64 {
-    match iat {
-        IatSpec::Fixed { ms } => *ms,
-        IatSpec::Exponential { mean_ms } => -mean_ms * rng.next_f64_open().ln(),
-        IatSpec::Uniform { lo_ms, hi_ms } => rng.range_f64(*lo_ms, *hi_ms),
-    }
-}
 
 /// Drives the workload described by `cfg` against `deployment` on
 /// `cloud`, starting at the cloud's current time.
@@ -209,23 +208,23 @@ pub fn run_workload(
 
 /// [`run_workload`] with an explicit [`MeasureSpec`].
 ///
-/// With `keep_samples` (the default) this is the legacy path: run to the
-/// horizon, drain everything, partition, retain full vectors. Without it,
-/// the simulation is advanced in bounded time slices and each slice's
-/// completions are folded into the streaming aggregates and discarded, so
-/// peak latency storage is one slice's completions plus the sketch — not
-/// the whole run. Both paths process the identical event sequence (the
-/// engine's `run_until` is prefix-stable), so a streaming run aggregates
-/// exactly the samples the legacy run would have collected, in the same
-/// order.
+/// The first round is issued at the start; gaps are drawn from a
+/// dedicated `fork("client-iat")` stream of `seed`. Rounds are submitted
+/// inside bounded time slices under a cloud submission window, and each
+/// slice's completions are drained into the run's aggregates (and, with
+/// `keep_samples`, its sample vectors). The window replays the draw order
+/// and event tie-breaking of submitting every round up front, so every
+/// completion is bit-identical to that schedule's. The measure mode
+/// changes only the quantile engine and whether vectors are retained —
+/// never the simulated run itself.
 ///
 /// # Errors
 ///
 /// Returns [`ClientError`] for invalid configs or specs, empty
 /// deployments, or if requests fail to complete within a generous horizon
-/// (which would indicate a simulator bug). On streaming runs the
-/// [`ClientError::IncompleteRun`] post-mortem vector only holds
-/// completions from the final slice.
+/// (which would indicate a simulator bug). The
+/// [`ClientError::IncompleteRun`] post-mortem vector holds the measured
+/// completions received when samples are kept, and is empty otherwise.
 pub fn run_workload_with(
     cloud: &mut CloudSim,
     deployment: &Deployment,
@@ -245,197 +244,78 @@ pub fn run_workload_with(
     if deployment.is_empty() {
         return Err(ClientError::EmptyDeployment);
     }
+    let arrival = workload_from_iat(&cfg.iat);
+    let mut process = arrival.build(seed);
     let mut rng = Rng::seed_from(seed).fork("client-iat");
     let start = cloud.now();
     let total_rounds = cfg.warmup_rounds + cfg.measured_rounds();
     let expected = (total_rounds * cfg.burst_size) as usize;
-    let warmup_tag = cfg.warmup_rounds as u64;
-    let mut latency_agg = LatencyAgg::with_mode(measure.quantile);
-    let mut transfer_agg = LatencyAgg::with_mode(measure.quantile);
+    cloud.reserve_event_hint(expected);
 
-    if !measure.keep_samples {
-        // Sketch mode skips slab/completion pre-sizing, but the event
-        // queue still wants the bulk-load hint: without it the adaptive
-        // backend promoted mid-run at the pending threshold instead of
-        // once, up front.
-        cloud.reserve_event_hint(expected);
-    }
-    if measure.keep_samples {
-        cloud.reserve_requests(expected);
-        let mut t = start;
-        let mut last_issue = start;
-        for round in 0..total_rounds {
-            let endpoint = &deployment.endpoints[round as usize % deployment.len()];
-            for _ in 0..cfg.burst_size {
-                cloud.submit(endpoint.function, round as u64, t);
-            }
-            last_issue = t;
-            t += SimTime::from_millis(sample_iat_ms(&cfg.iat, &mut rng));
-        }
-
-        // Generous completion horizon: bursts can queue for minutes on
-        // slow scale-out policies (Fig 9 observes ~39 s; chains and 1 GB
-        // transfers take tens of seconds too).
-        let mut horizon = last_issue + SimTime::from_secs(300.0);
-        let mut completions = Vec::with_capacity(expected);
-        let mut transfers = Vec::new();
-        for _ in 0..20 {
-            cloud.run_until(horizon);
-            // Drain in place: the simulator appends into our buffers, so
-            // the loop allocates nothing once the buffers reach steady
-            // size.
-            cloud.drain_completions_into(&mut completions);
-            cloud.drain_transfers_into(&mut transfers);
-            if completions.len() >= expected {
-                break;
-            }
-            horizon += SimTime::from_secs(600.0);
-        }
-        if completions.len() < expected {
-            return Err(ClientError::IncompleteRun {
-                received: completions.len(),
-                expected,
-                completions,
-            });
-        }
-
-        // Provider errors (fault injection) terminate their request but
-        // are never latency samples; cloud-side `FaultStats` carries
-        // their accounting.
-        let (warmup, measured): (Vec<Completion>, Vec<Completion>) =
-            completions.into_iter().filter(Completion::is_ok).partition(|c| c.tag < warmup_tag);
-        let transfers: Vec<TransferSample> =
-            transfers.into_iter().filter(|tr| tr.parent_tag >= warmup_tag).collect();
-        let mut cold_count = 0u64;
-        for c in &measured {
-            if c.cold {
-                cold_count += 1;
-            }
-            latency_agg.record(c.latency_ms());
-        }
-        for tr in &transfers {
-            transfer_agg.record(tr.transfer_ms());
-        }
-        Ok(RunResult {
-            measured_count: measured.len() as u64,
-            warmup_count: warmup.len() as u64,
-            cold_count,
-            completions: measured,
-            warmup_completions: warmup,
-            transfers,
-            latency_agg,
-            transfer_agg,
-            duration: cloud.now() - start,
-            offered: None,
-            policy: None,
-            faults: None,
-        })
-    } else {
-        // Streaming runs interleave arrival generation with simulation so
-        // pending state stays O(slice + active requests), not O(run). The
-        // gap sequence is pre-summed once from a clone of the client rng
-        // (O(1) memory) to fix the same horizon and slice grid the
-        // up-front path uses; each slice then submits only the rounds that
-        // fall inside it. A submission window on the cloud replays the
-        // up-front path's network-rng draw order and event tie-breaking,
-        // so results are bit-identical to submitting everything at once.
+    // The gap sequence is pre-summed once from a clone of the client rng
+    // (O(1) memory) to fix the completion horizon and slice grid of the
+    // whole schedule; each slice then submits only the rounds that fall
+    // inside it.
+    let mut last_issue = start;
+    {
+        let mut gaps = arrival.build(seed);
         let mut gap_rng = rng.clone();
-        let mut last_issue = start;
-        {
-            let mut t = start;
-            for _ in 0..total_rounds {
-                last_issue = t;
-                t += SimTime::from_millis(sample_iat_ms(&cfg.iat, &mut gap_rng));
-            }
+        let mut t = start;
+        for _ in 0..total_rounds {
+            last_issue = t;
+            t += SimTime::from_millis(gaps.next_gap_ms(&mut gap_rng));
         }
-        let mut horizon = last_issue + SimTime::from_secs(300.0);
-        // Slice width: ~256 slices across the nominal horizon, clamped to
-        // [1 s, 60 s] of simulated time. Slicing only bounds how many
-        // completions and pending submissions accumulate between drains;
-        // it does not change what the simulation computes.
-        let span = horizon.saturating_sub(start);
-        let slice =
-            SimTime::from_nanos((span.as_nanos() / 256).clamp(1_000_000_000, 60_000_000_000));
-        cloud.open_submission_window(expected);
-        let mut next_issue = start;
-        let mut round = 0u32;
-        let mut comp_buf: Vec<Completion> = Vec::new();
-        let mut trans_buf: Vec<TransferSample> = Vec::new();
-        let mut received = 0usize;
-        let mut measured_count = 0u64;
-        let mut warmup_count = 0u64;
-        let mut cold_count = 0u64;
-        'drive: for _ in 0..20 {
-            while cloud.now() < horizon {
-                let next = (cloud.now() + slice).min(horizon);
-                while round < total_rounds && next_issue <= next {
-                    let endpoint = &deployment.endpoints[round as usize % deployment.len()];
-                    for _ in 0..cfg.burst_size {
-                        cloud.submit(endpoint.function, round as u64, next_issue);
-                    }
-                    next_issue += SimTime::from_millis(sample_iat_ms(&cfg.iat, &mut rng));
-                    round += 1;
-                }
-                if round == total_rounds {
-                    cloud.close_submission_window();
-                }
-                cloud.run_until(next);
-                cloud.drain_completions_into(&mut comp_buf);
-                cloud.drain_transfers_into(&mut trans_buf);
-                received += comp_buf.len();
-                for c in comp_buf.drain(..) {
-                    if !c.is_ok() {
-                        continue;
-                    }
-                    if c.tag < warmup_tag {
-                        warmup_count += 1;
-                    } else {
-                        measured_count += 1;
-                        if c.cold {
-                            cold_count += 1;
-                        }
-                        latency_agg.record(c.latency_ms());
-                    }
-                }
-                for tr in trans_buf.drain(..) {
-                    if tr.parent_tag >= warmup_tag {
-                        transfer_agg.record(tr.transfer_ms());
-                    }
-                }
-                if received >= expected {
-                    break 'drive;
-                }
-            }
-            horizon += SimTime::from_secs(600.0);
-        }
-        cloud.close_submission_window();
-        if received < expected {
-            return Err(ClientError::IncompleteRun { received, expected, completions: Vec::new() });
-        }
-        Ok(RunResult {
-            completions: Vec::new(),
-            warmup_completions: Vec::new(),
-            transfers: Vec::new(),
-            latency_agg,
-            transfer_agg,
-            measured_count,
-            warmup_count,
-            cold_count,
-            duration: cloud.now() - start,
-            offered: None,
-            policy: None,
-            faults: None,
-        })
     }
+    // Generous completion horizon: bursts can queue for minutes on slow
+    // scale-out policies (Fig 9 observes ~39 s; chains and 1 GB transfers
+    // take tens of seconds too).
+    let mut horizon = last_issue + SimTime::from_secs(300.0);
+    // Slice width: ~256 slices across the nominal horizon, clamped to
+    // [1 s, 60 s] of simulated time. Slicing only bounds how many
+    // completions and pending submissions accumulate between drains; it
+    // does not change what the simulation computes.
+    let span = horizon.saturating_sub(start);
+    let slice = SimTime::from_nanos((span.as_nanos() / 256).clamp(1_000_000_000, 60_000_000_000));
+    cloud.open_submission_window(expected);
+    let mut collector = Collector::new(measure, u64::from(cfg.warmup_rounds));
+    let mut next_issue = start;
+    let mut round = 0u32;
+    'drive: for _ in 0..20 {
+        while cloud.now() < horizon {
+            let next = (cloud.now() + slice).min(horizon);
+            while round < total_rounds && next_issue <= next {
+                let endpoint = &deployment.endpoints[round as usize % deployment.len()];
+                for _ in 0..cfg.burst_size {
+                    cloud.submit(endpoint.function, u64::from(round), next_issue);
+                }
+                next_issue += SimTime::from_millis(process.next_gap_ms(&mut rng));
+                round += 1;
+            }
+            if round == total_rounds {
+                cloud.close_submission_window();
+            }
+            cloud.run_until(next);
+            collector.drain(cloud);
+            if collector.received >= expected {
+                break 'drive;
+            }
+        }
+        horizon += SimTime::from_secs(600.0);
+    }
+    cloud.close_submission_window();
+    collector.finish(expected, cloud.now() - start, None)
 }
 
-/// Shared measurement sink for workload-spec runs: absorbs completions
-/// and transfers either into retained vectors (`keep_samples`) or
-/// directly into the streaming aggregates.
+/// The run's measurement sink, shared by every driver: sorts each
+/// completion into warm-up, measured or provider error and each transfer
+/// into kept or dropped, folds them into the streaming aggregates, and
+/// retains the sample vectors only when the [`MeasureSpec`] keeps
+/// samples.
 pub(crate) struct Collector {
     keep: bool,
     warmup_tag: u64,
     completions: Vec<Completion>,
+    warmup_completions: Vec<Completion>,
     transfers: Vec<TransferSample>,
     comp_buf: Vec<Completion>,
     trans_buf: Vec<TransferSample>,
@@ -453,6 +333,7 @@ impl Collector {
             keep: measure.keep_samples,
             warmup_tag,
             completions: Vec::new(),
+            warmup_completions: Vec::new(),
             transfers: Vec::new(),
             comp_buf: Vec::new(),
             trans_buf: Vec::new(),
@@ -472,64 +353,57 @@ impl Collector {
             // toward samples or aggregates.
             return;
         }
-        if self.keep {
-            self.completions.push(c);
-            return;
-        }
         if c.tag < self.warmup_tag {
             self.warmup_count += 1;
-        } else {
-            self.measured_count += 1;
-            if c.cold {
-                self.cold_count += 1;
+            if self.keep {
+                self.warmup_completions.push(c);
             }
-            self.latency_agg.record(c.latency_ms());
+            return;
+        }
+        self.measured_count += 1;
+        if c.cold {
+            self.cold_count += 1;
+        }
+        self.latency_agg.record(c.latency_ms());
+        if self.keep {
+            self.completions.push(c);
         }
     }
 
     pub(crate) fn absorb_transfer(&mut self, tr: TransferSample) {
+        if tr.parent_tag < self.warmup_tag {
+            return;
+        }
+        self.transfer_agg.record(tr.transfer_ms());
         if self.keep {
             self.transfers.push(tr);
-        } else if tr.parent_tag >= self.warmup_tag {
-            self.transfer_agg.record(tr.transfer_ms());
         }
     }
 
     /// Drains the cloud's completion/transfer buffers into this
-    /// collector. Returns how many completions arrived.
-    fn drain(&mut self, cloud: &mut CloudSim) -> usize {
+    /// collector.
+    fn drain(&mut self, cloud: &mut CloudSim) {
         cloud.drain_completions_into(&mut self.comp_buf);
         cloud.drain_transfers_into(&mut self.trans_buf);
-        let fresh = self.comp_buf.len();
-        for c in self.comp_buf.drain(..) {
-            self.received += 1;
-            if !c.is_ok() {
-                continue;
-            }
-            if self.keep {
-                self.completions.push(c);
-            } else if c.tag < self.warmup_tag {
-                self.warmup_count += 1;
-            } else {
-                self.measured_count += 1;
-                if c.cold {
-                    self.cold_count += 1;
-                }
-                self.latency_agg.record(c.latency_ms());
-            }
+        // Swap the buffers out so `absorb` can borrow `self`; putting
+        // them back keeps their capacity for the next slice.
+        let mut comp_buf = std::mem::take(&mut self.comp_buf);
+        for c in comp_buf.drain(..) {
+            self.absorb(c);
         }
-        let trans_buf = std::mem::take(&mut self.trans_buf);
-        for tr in trans_buf {
+        self.comp_buf = comp_buf;
+        let mut trans_buf = std::mem::take(&mut self.trans_buf);
+        for tr in trans_buf.drain(..) {
             self.absorb_transfer(tr);
         }
-        fresh
+        self.trans_buf = trans_buf;
     }
 
     pub(crate) fn finish(
-        mut self,
+        self,
         expected: usize,
         duration: SimTime,
-        offered: OfferedLoad,
+        offered: Option<OfferedLoad>,
     ) -> Result<RunResult, ClientError> {
         if self.received < expected {
             return Err(ClientError::IncompleteRun {
@@ -538,51 +412,20 @@ impl Collector {
                 completions: self.completions,
             });
         }
-        if self.keep {
-            let (warmup, measured): (Vec<Completion>, Vec<Completion>) =
-                self.completions.into_iter().partition(|c| c.tag < self.warmup_tag);
-            let transfers: Vec<TransferSample> =
-                self.transfers.into_iter().filter(|tr| tr.parent_tag >= self.warmup_tag).collect();
-            let mut cold_count = 0u64;
-            for c in &measured {
-                if c.cold {
-                    cold_count += 1;
-                }
-                self.latency_agg.record(c.latency_ms());
-            }
-            for tr in &transfers {
-                self.transfer_agg.record(tr.transfer_ms());
-            }
-            Ok(RunResult {
-                measured_count: measured.len() as u64,
-                warmup_count: warmup.len() as u64,
-                cold_count,
-                completions: measured,
-                warmup_completions: warmup,
-                transfers,
-                latency_agg: self.latency_agg,
-                transfer_agg: self.transfer_agg,
-                duration,
-                offered: Some(offered),
-                policy: None,
-                faults: None,
-            })
-        } else {
-            Ok(RunResult {
-                completions: Vec::new(),
-                warmup_completions: Vec::new(),
-                transfers: Vec::new(),
-                latency_agg: self.latency_agg,
-                transfer_agg: self.transfer_agg,
-                measured_count: self.measured_count,
-                warmup_count: self.warmup_count,
-                cold_count: self.cold_count,
-                duration,
-                offered: Some(offered),
-                policy: None,
-                faults: None,
-            })
-        }
+        Ok(RunResult {
+            completions: self.completions,
+            warmup_completions: self.warmup_completions,
+            transfers: self.transfers,
+            latency_agg: self.latency_agg,
+            transfer_agg: self.transfer_agg,
+            measured_count: self.measured_count,
+            warmup_count: self.warmup_count,
+            cold_count: self.cold_count,
+            duration,
+            offered,
+            policy: None,
+            faults: None,
+        })
     }
 }
 
@@ -595,7 +438,7 @@ impl Collector {
 /// number of virtual users, each issuing its next request one think-time
 /// gap after its previous completion).
 ///
-/// Shared semantics with the legacy driver: `cfg.warmup_rounds` initial
+/// Shared semantics with the IAT driver: `cfg.warmup_rounds` initial
 /// arrivals are warm-up, `cfg.samples` arrivals are measured, requests are
 /// tagged with their arrival index, and the run starts at the cloud's
 /// current time. Differences: the first arrival happens one gap after the
@@ -686,13 +529,7 @@ fn open_loop(
     let burst = u64::from(cfg.burst_size);
     let planned = (total_arrivals * burst) as usize;
     let multi_source = process.sources() > 1;
-    if measure.keep_samples {
-        cloud.reserve_requests(planned);
-    } else {
-        // Forward the bulk-load hint even without sample buffers so the
-        // adaptive event queue can promote once, up front.
-        cloud.reserve_event_hint(planned);
-    }
+    cloud.reserve_event_hint(planned);
     cloud.open_submission_window(planned);
 
     let mut collector = Collector::new(measure, u64::from(cfg.warmup_rounds));
@@ -730,7 +567,7 @@ fn open_loop(
     cloud.close_submission_window();
     let expected = (issued * burst) as usize;
 
-    // Drain the tail exactly like the legacy driver: a generous horizon
+    // Drain the tail exactly like the IAT driver: a generous horizon
     // with bounded extensions, advancing in slices so completion buffers
     // stay small.
     let mut horizon = last_issue + SimTime::from_secs(300.0);
@@ -746,7 +583,7 @@ fn open_loop(
         horizon += SimTime::from_secs(600.0);
     }
     let duration = cloud.now() - start;
-    collector.finish(expected, duration, recorder.finish())
+    collector.finish(expected, duration, Some(recorder.finish()))
 }
 
 /// Closed-loop driver: `concurrency` virtual users. Each user submits,
@@ -766,13 +603,7 @@ fn closed_loop(
     if let Some(remaining) = process.remaining() {
         total = total.min(remaining);
     }
-    if measure.keep_samples {
-        cloud.reserve_requests(total as usize);
-    } else {
-        // Same bulk-load hint as the open-loop driver: the adaptive
-        // event queue should promote once, up front.
-        cloud.reserve_event_hint(total as usize);
-    }
+    cloud.reserve_event_hint(total as usize);
     cloud.open_submission_window(total as usize);
 
     let mut collector = Collector::new(measure, u64::from(cfg.warmup_rounds));
@@ -852,13 +683,13 @@ fn closed_loop(
     }
     cloud.close_submission_window();
     let duration = cloud.now() - start;
-    collector.finish(issued as usize, duration, recorder.finish())
+    collector.finish(issued as usize, duration, Some(recorder.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChainConfig, StaticConfig, StaticFunction};
+    use crate::config::{ChainConfig, IatSpec, StaticConfig, StaticFunction};
     use crate::deployer::deploy;
     use faas_sim::testutil::test_provider;
     use faas_sim::types::TransferMode;
@@ -956,30 +787,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sketch_matches_legacy_run() {
+    fn iat_streaming_matches_keep_samples_run() {
         let static_cfg = StaticConfig { functions: vec![StaticFunction::python_zip("f")] };
         let mut cfg = RuntimeConfig::single(IatSpec::Exponential { mean_ms: 50.0 }, 400);
         cfg.warmup_rounds = 10;
         let (mut cloud_a, d_a) = setup(&static_cfg, &cfg);
-        let legacy = run_workload(&mut cloud_a, &d_a, &cfg, 9).unwrap();
+        let exact = run_workload(&mut cloud_a, &d_a, &cfg, 9).unwrap();
         let (mut cloud_b, d_b) = setup(&static_cfg, &cfg);
         let streaming =
             run_workload_with(&mut cloud_b, &d_b, &cfg, 9, &MeasureSpec::sketch()).unwrap();
 
         assert!(streaming.completions.is_empty(), "streaming keeps no samples");
-        assert_eq!(streaming.measured_count, legacy.completions.len() as u64);
-        assert_eq!(streaming.warmup_count, legacy.warmup_completions.len() as u64);
-        assert_eq!(streaming.cold_fraction(), legacy.cold_fraction());
-        // Both paths aggregate the identical completion sequence, so the
+        assert_eq!(streaming.measured_count, exact.completions.len() as u64);
+        assert_eq!(streaming.warmup_count, exact.warmup_completions.len() as u64);
+        assert_eq!(streaming.cold_fraction(), exact.cold_fraction());
+        // The measure mode must not change the simulated run: same end
+        // instant, same request-slab occupancy.
+        assert_eq!(streaming.duration, exact.duration);
+        assert_eq!(cloud_b.request_slab_stats(), cloud_a.request_slab_stats());
+        // Both modes aggregate the identical completion sequence, so the
         // moment sums agree bit for bit.
         let mut agg = streaming.latency_agg.clone();
         assert_eq!(agg.count(), 400);
         assert_eq!(agg.mean(), {
-            let lat = legacy.latencies_ms();
+            let lat = exact.latencies_ms();
             lat.iter().sum::<f64>() / lat.len() as f64
         });
         // Below the sketch threshold the quantiles are exact too.
-        assert_eq!(agg.quantile(0.5), stats::percentile(&legacy.latencies_ms(), 0.5));
+        assert_eq!(agg.quantile(0.5), stats::percentile(&exact.latencies_ms(), 0.5));
     }
 
     #[test]
@@ -1075,6 +910,8 @@ mod tests {
         });
         assert_eq!(agg.quantile(0.5), stats::percentile(&exact.latencies_ms(), 0.5));
         assert_eq!(streaming.offered, exact.offered, "same schedule either way");
+        assert_eq!(streaming.duration, exact.duration);
+        assert_eq!(cloud_b.request_slab_stats(), cloud_a.request_slab_stats());
     }
 
     #[test]

@@ -180,12 +180,29 @@ impl IatSpec {
             IatSpec::Exponential { mean_ms } => {
                 Err(format!("exponential IAT mean must be positive: {mean_ms}"))
             }
-            IatSpec::Uniform { lo_ms, hi_ms } if *lo_ms > 0.0 && hi_ms >= lo_ms => Ok(()),
+            IatSpec::Uniform { lo_ms, hi_ms }
+                if *lo_ms > 0.0 && hi_ms >= lo_ms && hi_ms.is_finite() =>
+            {
+                Ok(())
+            }
             IatSpec::Uniform { lo_ms, hi_ms } => {
                 Err(format!("bad uniform IAT range [{lo_ms}, {hi_ms}]"))
             }
         }
     }
+}
+
+/// Lifts an [`IatSpec`] into the equivalent open-loop workload model:
+/// the one gap formula per distribution that both the IAT driver and a
+/// policy run without an explicit workload draw from.
+pub(crate) fn workload_from_iat(iat: &IatSpec) -> WorkloadSpec {
+    use workload::spec::{ArrivalSpec, ModeSpec};
+    let arrival = match *iat {
+        IatSpec::Fixed { ms } => ArrivalSpec::Fixed { ms },
+        IatSpec::Exponential { mean_ms } => ArrivalSpec::Exponential { mean_ms },
+        IatSpec::Uniform { lo_ms, hi_ms } => ArrivalSpec::Uniform { lo_ms, hi_ms },
+    };
+    WorkloadSpec { arrival, mode: ModeSpec::Open }
 }
 
 /// Chain configuration for data-transfer studies (§IV).
@@ -402,6 +419,7 @@ mod tests {
         assert!(IatSpec::Fixed { ms: 0.0 }.validate().is_err());
         assert!(IatSpec::Exponential { mean_ms: -1.0 }.validate().is_err());
         assert!(IatSpec::Uniform { lo_ms: 5.0, hi_ms: 1.0 }.validate().is_err());
+        assert!(IatSpec::Uniform { lo_ms: 1.0, hi_ms: f64::INFINITY }.validate().is_err());
         assert!(IatSpec::Uniform { lo_ms: 1.0, hi_ms: 5.0 }.validate().is_ok());
     }
 

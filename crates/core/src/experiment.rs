@@ -13,7 +13,7 @@ use simkit::trace::SpanRecord;
 use stats::Summary;
 
 use crate::client::{run_workload_spec, run_workload_with, ClientError, MeasureSpec, RunResult};
-use crate::config::{RuntimeConfig, StaticConfig};
+use crate::config::{workload_from_iat, RuntimeConfig, StaticConfig};
 use crate::deployer::{deploy, Deployment, Endpoint};
 
 /// Errors from running an experiment.
@@ -425,20 +425,6 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64) * q).ceil() as usize;
     sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Lifts a legacy [`crate::config::IatSpec`] into the equivalent
-/// open-loop workload model, so policy runs always go through the
-/// spec driver.
-fn workload_from_iat(iat: &crate::config::IatSpec) -> workload::WorkloadSpec {
-    use crate::config::IatSpec;
-    use workload::spec::{ArrivalSpec, ModeSpec};
-    let arrival = match *iat {
-        IatSpec::Fixed { ms } => ArrivalSpec::Fixed { ms },
-        IatSpec::Exponential { mean_ms } => ArrivalSpec::Exponential { mean_ms },
-        IatSpec::Uniform { lo_ms, hi_ms } => ArrivalSpec::Uniform { lo_ms, hi_ms },
-    };
-    workload::WorkloadSpec { arrival, mode: ModeSpec::Open }
 }
 
 #[cfg(test)]

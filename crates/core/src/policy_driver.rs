@@ -123,13 +123,7 @@ pub(crate) fn drive_with_policy(
     let multi_source = process.sources() > 1;
     let online_q = spec.online_quantile();
     let cancel_base = cloud.cancel_stats();
-    if measure.keep_samples {
-        cloud.reserve_requests(total as usize);
-    } else {
-        // Forward the bulk-load hint even without sample buffers so the
-        // adaptive event queue can promote once, up front.
-        cloud.reserve_event_hint(total as usize);
-    }
+    cloud.reserve_event_hint(total as usize);
 
     let mut collector = Collector::new(measure, warmup_tag);
     let mut recorder = LoadRecorder::default();
@@ -513,7 +507,7 @@ pub(crate) fn drive_with_policy(
     }
     let winners = (issued - stats.abandoned - stats.failed_logical) as usize;
     let duration = cloud.now() - start;
-    let mut result = collector.finish(winners, duration, recorder.finish())?;
+    let mut result = collector.finish(winners, duration, Some(recorder.finish()))?;
     result.policy = Some(stats);
     Ok(result)
 }
@@ -717,5 +711,7 @@ mod tests {
         let agg = streaming.latency_agg.clone();
         let lat = exact.latencies_ms();
         assert_eq!(agg.mean(), lat.iter().sum::<f64>() / lat.len() as f64);
+        assert_eq!(streaming.duration, exact.duration);
+        assert_eq!(cloud_b.request_slab_stats(), cloud_a.request_slab_stats());
     }
 }

@@ -2597,34 +2597,27 @@ impl CloudSim {
         out.append(&mut self.sim.model_mut().transfers);
     }
 
-    /// Pre-sizes hot-path buffers for a workload of `expected` external
-    /// requests: the request table, the completion buffer, and the event
-    /// heap (every pending external arrival occupies a heap slot until it
-    /// is dispatched, so a submitted-up-front workload peaks near
-    /// `expected` pending events).
+    /// Pre-sizes hot-path buffers for `expected` external requests
+    /// submitted up front and drained once: the request table, the
+    /// completion buffer, and the event heap (every pending external
+    /// arrival occupies a heap slot until it is dispatched, so such a
+    /// workload peaks near `expected` pending events).
     pub fn reserve_requests(&mut self, expected: usize) {
-        self.reserve_submissions(expected);
-        self.sim.model_mut().completions.reserve(expected);
+        let cloud = self.sim.model_mut();
+        cloud.requests.reserve(expected);
+        cloud.completions.reserve(expected);
+        self.reserve_event_hint(expected);
     }
 
     /// Announces `expected` upcoming submissions to the event queue
     /// *without* pre-sizing the request slab or completion buffer — the
-    /// sizing hint streaming drivers want. Besides reserving capacity,
-    /// the hint lets the adaptive backend promote to the calendar queue
-    /// once, up front, instead of re-discovering the backlog at the
-    /// promotion threshold mid-run.
+    /// sizing hint for drivers that submit and drain in slices, where
+    /// both stay O(slice) and reserving `expected` would itself be an
+    /// O(n) allocation. Besides reserving capacity, the hint lets the
+    /// adaptive backend promote to the calendar queue once, up front,
+    /// instead of re-discovering the backlog at the promotion threshold
+    /// mid-run.
     pub fn reserve_event_hint(&mut self, expected: usize) {
-        self.sim.reserve_events(expected + expected / 4);
-    }
-
-    /// Like [`CloudSim::reserve_requests`] but without pre-sizing the
-    /// completion buffer — for streaming drivers that drain completions in
-    /// bounded slices, where the buffer never holds more than one slice's
-    /// worth and reserving `expected` would itself be the O(n) allocation
-    /// the driver is avoiding.
-    pub fn reserve_submissions(&mut self, expected: usize) {
-        let cloud = self.sim.model_mut();
-        cloud.requests.reserve(expected);
         self.sim.reserve_events(expected + expected / 4);
     }
 
