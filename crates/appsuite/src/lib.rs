@@ -74,8 +74,8 @@ pub fn resolve(input: &str) -> Result<DagSpec, String> {
 }
 
 /// Interactive web/API backend: the linear three-stage request path.
-/// Fully linear with constant payloads, so it compiles onto the legacy
-/// chain hot path — the degenerate single-path DAG.
+/// Fully linear with constant payloads — the degenerate single-path DAG,
+/// byte-identical to the same stages deployed as a `ChainSpec` chain.
 pub fn web_api() -> DagSpec {
     DagSpec::new("web-api")
         .node(DagNodeSpec::new("auth").exec_ms(Dist::lognormal_median_p99(2.0, 8.0)).memory_mb(256))
@@ -129,9 +129,9 @@ pub fn thumbnail() -> DagSpec {
 }
 
 /// ML inference: preprocess → predict → render. Linear like `web-api`,
-/// but the feature tensors have log-normal sizes, so every hop exercises
-/// the DAG fork path (sampled payloads cannot compile to a chain), and
-/// the model server is a large containerised function.
+/// but the feature tensors have log-normal sizes, so every hop draws its
+/// payload from the DAG stream, and the model server is a large
+/// containerised function.
 pub fn ml_inference() -> DagSpec {
     DagSpec::new("ml-inference")
         .node(

@@ -368,6 +368,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag: {other}")),
                 }
             }
+            // The sweep runs seeds `base_seed..base_seed + seeds`.
+            if base_seed.checked_add(seeds).is_none() {
+                return Err(format!(
+                    "--base-seed {base_seed} plus --seeds {seeds} overflows the seed range \
+                     (their sum must be at most {})",
+                    u64::MAX
+                ));
+            }
             Ok(Command::Sweep(SweepOptions {
                 static_path,
                 runtime_path,
@@ -779,6 +787,10 @@ mod tests {
         assert_eq!(opts.quantile_mode, QuantileMode::Exact);
         assert!(!opts.profile_events);
         assert!(parse_args(&strs(&["sweep", "--seeds", "0"])).is_err());
+        let overflow = strs(&["sweep", "--base-seed", "18446744073709551615", "--seeds", "2"]);
+        assert!(parse_args(&overflow).unwrap_err().contains("overflows the seed range"));
+        let last = strs(&["sweep", "--base-seed", "18446744073709551613", "--seeds", "2"]);
+        assert!(parse_args(&last).is_ok(), "a range ending at u64::MAX is representable");
         assert!(parse_args(&strs(&["sweep", "--samples", "0"])).is_err());
         assert!(parse_args(&strs(&["sweep", "--providers", ""])).is_err());
         assert!(parse_args(&strs(&["sweep", "--bogus"])).is_err());

@@ -33,10 +33,6 @@ pub(crate) mod flags {
     pub const COLD: u8 = 1 << 3;
     /// Admission control shed the request.
     pub const SHED: u8 = 1 << 4;
-    /// Spawned by the DAG engine (direct fan-out child or fired join),
-    /// as opposed to a legacy/compiled `ChainSpec` hop. Drives the
-    /// per-node conservation counters.
-    pub const DAG_SPAWN: u8 = 1 << 5;
 }
 
 /// Per-event-hot request state: everything the frequent handler prologues
@@ -101,16 +97,6 @@ impl HotReq {
     pub fn set_shed(&mut self) {
         self.flags |= flags::SHED;
     }
-
-    /// Whether the DAG engine spawned this request (see
-    /// [`flags::DAG_SPAWN`]).
-    pub fn dag_spawn(&self) -> bool {
-        self.flags & flags::DAG_SPAWN != 0
-    }
-
-    pub fn set_dag_spawn(&mut self) {
-        self.flags |= flags::DAG_SPAWN;
-    }
 }
 
 /// Cross-function data transfer info attached to a consumer request.
@@ -137,9 +123,6 @@ pub(crate) struct ColdReq {
     pub xfer_in: Option<XferInfo>,
     /// Outgoing chain call start (producer side), set at `ComputeDone`.
     pub chain_started: Option<SimTime>,
-    /// In-flight chain hop spawned by this producer, cleared when the
-    /// hop returns. Lets a cancel cascade into the hop synchronously.
-    pub chain_child: Option<RequestId>,
     /// Root span id (allocated at creation when tracing is on).
     pub root_span: Option<u64>,
     /// Chain span id, pre-allocated at `ComputeDone` so it precedes the
@@ -148,9 +131,10 @@ pub(crate) struct ColdReq {
     /// Provider-style error injected into this request (fault plan),
     /// carried into its [`crate::request::Completion`].
     pub error: Option<u16>,
-    /// Unresolved DAG obligations (fan-out children and join arrivals)
-    /// this request spawned at `ComputeDone`; the instance is released
-    /// once the count drains to zero. Always zero for chain producers.
+    /// Unresolved obligations (direct children and join arrivals) this
+    /// request forked at `ComputeDone` — one for a chain producer, one
+    /// per out-edge for a fan-out; the instance is released once the
+    /// count drains to zero.
     pub dag_pending: u32,
     /// The external root of the workflow this request belongs to; `None`
     /// for external requests themselves (a root's workflow key is its own
@@ -173,7 +157,6 @@ impl ColdReq {
             warm_overhead_ms: 0.0,
             xfer_in,
             chain_started: None,
-            chain_child: None,
             root_span,
             chain_span: None,
             error: None,

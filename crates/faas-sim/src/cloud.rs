@@ -92,8 +92,6 @@ pub mod metric {
     pub const BOOT_FAILURE_RETRIES: &str = "boot_failure_retries";
     /// Requests cancelled by the client (tail-tolerance policies).
     pub const REQUESTS_CANCELLED: &str = "requests_cancelled";
-    /// Internal chain invocations issued.
-    pub const CHAIN_INVOCATIONS: &str = "chain_invocations";
     /// Gauge: requests waiting (shared + committed queues), keyed by
     /// function index. Sampled on telemetry ticks.
     pub const QUEUE_DEPTH: &str = "queue_depth";
@@ -123,9 +121,8 @@ pub mod metric {
     pub const FAULTS_SHED: &str = "faults_shed";
     /// Idle instances reaped by purge-storm events.
     pub const FAULTS_PURGED_INSTANCES: &str = "faults_purged_instances";
-    /// Internal invocations issued by the DAG engine (fan-out children
-    /// plus fired joins; compiled linear segments count as
-    /// [`CHAIN_INVOCATIONS`]).
+    /// Out-edges forked by producers: chain hops, fan-out children and
+    /// join-barrier arrivals.
     pub const DAG_INVOCATIONS: &str = "dag_invocations";
     /// Join barriers fired.
     pub const JOINS_FIRED: &str = "joins_fired";
@@ -211,7 +208,8 @@ impl std::error::Error for DeployError {}
 pub struct CloudStats {
     /// External requests submitted.
     pub submitted: u64,
-    /// Internal (chain) requests issued.
+    /// Internal requests issued (chain hops, fan-out children, fired
+    /// joins).
     pub internal: u64,
     /// External completions recorded.
     pub completed: u64,
@@ -305,10 +303,10 @@ struct FunctionState {
     image_mb: f64,
     /// Lifetime/busy-time resource accounting.
     usage: UsageTracker,
-    /// `(dag index, node index)` when this function was deployed as a
-    /// DAG node; `None` for plain deployments. Gates every DAG arm in
-    /// the hot path, so non-DAG runs stay byte-identical.
-    dag_node: Option<(u32, u32)>,
+    /// Out-edges forked at compute-done, in spec order; empty for a plain
+    /// function. A [`crate::spec::ChainSpec`] deploys as one
+    /// constant-payload edge, a workflow node as its plan edges.
+    out: Vec<RuntimeEdge>,
 }
 
 impl FunctionState {
@@ -394,12 +392,11 @@ pub struct JoinStats {
     pub amplification: f64,
 }
 
-/// Per-node conservation counters for DAG-engine-spawned requests
-/// (fan-out children and fired joins; compiled linear hops are accounted
-/// by the legacy chain path).
+/// Per-function conservation counters for requests spawned by the fork
+/// path: chain hops, fan-out children and fired joins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DagNodeCounters {
-    /// Requests the DAG engine spawned for this node.
+    /// Requests spawned for this function.
     pub spawned: u64,
     /// Spawned requests that completed.
     pub completed: u64,
@@ -407,7 +404,7 @@ pub struct DagNodeCounters {
     pub cancelled: u64,
 }
 
-/// One resolved out-edge of a deployed DAG node.
+/// One resolved out-edge of a deployed function.
 #[derive(Debug, Clone)]
 struct RuntimeEdge {
     /// Target function.
@@ -418,20 +415,6 @@ struct RuntimeEdge {
     /// `Some((k, n))` when the target is a fan-in barrier needing `k` of
     /// `n` arrivals; `None` spawns a direct child request.
     join: Option<(u32, u32)>,
-}
-
-/// Runtime view of one deployed DAG node: just the out-edges the fork
-/// handler walks (linear-compiled edges are lowered into `spec.chain`
-/// and excluded here).
-#[derive(Debug, Clone)]
-struct RuntimeNode {
-    out: Vec<RuntimeEdge>,
-}
-
-/// A deployed workflow's runtime edge table.
-#[derive(Debug, Clone)]
-struct InstalledDag {
-    nodes: Vec<RuntimeNode>,
 }
 
 /// One branch arrival recorded at a join barrier before it fires.
@@ -547,12 +530,10 @@ pub struct Cloud {
     fault_plan: Option<faults::FaultPlan>,
     /// Injection and degradation counters (all zero without a plan).
     fault_stats: faults::FaultStats,
-    /// Deployed workflow edge tables; indexed by `FunctionState::dag_node`.
-    dags: Vec<InstalledDag>,
-    /// Dedicated DAG stream (per-edge payload draws). Forked
+    /// Dedicated fork stream (per-edge payload draws). Forked
     /// unconditionally — forking hashes the label without advancing the
-    /// parent — and only consulted by deployed workflows, so DAG-free
-    /// runs stay byte-identical.
+    /// parent — and only drawn from by sampled payloads: a constant
+    /// payload (every chain hop) draws nothing.
     rng_dag: Rng,
     /// Join barriers keyed by `(workflow root packed id, join function
     /// index)`. BTreeMap: iteration/removal order must be deterministic —
@@ -602,7 +583,6 @@ impl Cloud {
             rng_faults: root.fork("faults"),
             fault_plan: None,
             fault_stats: faults::FaultStats::default(),
-            dags: Vec::new(),
             rng_dag: root.fork("dag"),
             join_barriers: BTreeMap::new(),
             join_meta: BTreeMap::new(),
@@ -727,13 +707,13 @@ impl Cloud {
     }
 
     /// Retires a cancelled request's slot, then walks every reference
-    /// that can never be reached again: a chain hop's producer (once the
-    /// producer's `ComputeDone` has fired, the hop is the only remaining
-    /// reference — its `ExecDone` is scheduled by the hop's completion,
-    /// which a cancelled hop never performs), and, for a fired join, the
-    /// branch producers blocked on its round trip. An iterative worklist
-    /// rather than recursion: a deep chain cancelled mid-flight would
-    /// otherwise nest one stack frame per hop.
+    /// that can never be reached again: a spawned child's producer (once
+    /// the producer's `ComputeDone` has fired, its children are the only
+    /// remaining references — its `ExecDone` is scheduled when the last
+    /// obligation resolves, which a cancelled child never does), and, for
+    /// a fired join, the branch producers blocked on its round trip. An
+    /// iterative worklist rather than recursion: a deep chain cancelled
+    /// mid-flight would otherwise nest one stack frame per hop.
     fn free_cancelled(&mut self, rid: RequestId) {
         let mut work = vec![rid];
         while let Some(r) = work.pop() {
@@ -744,7 +724,8 @@ impl Cloud {
                 continue;
             }
             let (hot, cold) = self.requests.free(r);
-            if hot.dag_spawn() {
+            // Every internal request was spawned by the fork path.
+            if !cold.origin.is_external() {
                 self.dag_counters.entry(hot.function.0).or_default().cancelled += 1;
             }
             self.dag_children.remove(&r.packed());
@@ -766,7 +747,7 @@ impl Cloud {
     /// Executes a client cancellation. The request may legitimately be
     /// gone (completed in the same event batch) or already cancelled —
     /// both are no-ops. Otherwise the whole in-flight workflow below it
-    /// is collected (chain hops and DAG children alike) and cancelled
+    /// is collected (every forked child, chain hop or branch) and cancelled
     /// deepest-first — iteratively, so an N-deep chain costs O(N) heap
     /// instead of N stack frames — and any join barriers keyed under the
     /// request are torn down, freeing branch producers that were blocked
@@ -784,11 +765,6 @@ impl Cloud {
         while i < order.len() {
             let r = order[i];
             i += 1;
-            if let Some(child) = self.cold(r).chain_child {
-                if self.is_live(child) {
-                    order.push(child);
-                }
-            }
             if let Some(kids) = self.dag_children.get(&r.packed()) {
                 for &kid in kids {
                     if self.is_live(kid) {
@@ -883,8 +859,8 @@ impl Cloud {
                 self.maybe_schedule_reap(now, iid, sched);
             }
             // The slot itself is retired by the request's still-pending
-            // lifecycle event (`ComputeDone`/`ExecDone`) or, for a chain
-            // producer, by its cancelled hop.
+            // lifecycle event (`ComputeDone`/`ExecDone`) or, for a forking
+            // producer, by its cancelled children.
         } else {
             // Execution already finished; the response in flight will be
             // dropped at `Completed`, so the full busy span was wasted.
@@ -1570,105 +1546,49 @@ impl Cloud {
     ) {
         if self.hot(rid).cancelled() {
             // Cancelled mid-execution: the cancel already freed the
-            // instance; this stale event retires the slot. No chain hop
-            // is spawned for a dead request.
+            // instance; this stale event retires the slot. Nothing is
+            // forked for a dead request.
             self.free_cancelled(rid);
             return;
         }
         let fid = self.hot(rid).function;
-        let chain = self.fstate(fid).spec.chain;
-        // Whether this function forks DAG out-edges after execution.
-        // `dag_node` is `None` for every plain deployment, so DAG-free
-        // runs take the exact legacy control flow.
-        let dag_forks = chain.is_none()
-            && self.fstate(fid).dag_node.is_some_and(|(dag, node)| {
-                !self.dags[dag as usize].nodes[node as usize].out.is_empty()
-            });
+        if !self.fstate(fid).out.is_empty() {
+            self.dag_fork(now, rid, fid, sched);
+            return;
+        }
         // Mid-execution instance crash: the instance dies at the end of
         // user compute, the finished work is wasted, and the client gets
-        // a 500. Injected only into chainless external executions —
-        // crashing a producer mid-chain (or mid-fork) would orphan its
-        // hops.
-        if chain.is_none() && !dag_forks {
-            if let Some(plan) = self.fault_plan.take() {
-                let roll = plan.crash_p > 0.0
-                    && self.cold(rid).origin.is_external()
-                    && self.rng_faults.bernoulli(plan.crash_p);
-                self.fault_plan = Some(plan);
-                if roll {
-                    self.crash_instance(now, rid, iid, sched);
-                    return;
-                }
+        // a 500. Injected only into non-forking external executions —
+        // crashing a producer mid-fork would orphan its children.
+        if let Some(plan) = self.fault_plan.take() {
+            let roll = plan.crash_p > 0.0
+                && self.cold(rid).origin.is_external()
+                && self.rng_faults.bernoulli(plan.crash_p);
+            self.fault_plan = Some(plan);
+            if roll {
+                self.crash_instance(now, rid, iid, sched);
+                return;
             }
         }
-        match chain {
-            Some(chain) => {
-                // Producer side of a chain hop (step ⑨): PUT (for storage
-                // transfers), then invoke the consumer and wait for it.
-                let chain_span = self.trace.as_mut().map(Tracer::alloc_id);
-                let cold = self.cold_mut(rid);
-                cold.chain_started = Some(now);
-                cold.chain_span = chain_span;
-                let tag = cold.tag;
-                self.metrics.inc(metric::CHAIN_INVOCATIONS);
-                let child_issue_at = match chain.mode {
-                    TransferMode::Inline => now,
-                    TransferMode::Storage => {
-                        let put_ms = self.payload_store.put_ms(chain.payload_bytes);
-                        now + SimTime::from_millis(put_ms)
-                    }
-                };
-                let child = self.create_request(
-                    chain.next,
-                    RequestOrigin::Internal { parent: rid },
-                    tag,
-                    child_issue_at,
-                    Some(XferInfo {
-                        mode: chain.mode,
-                        payload_bytes: chain.payload_bytes,
-                        send_start: now,
-                        parent: rid,
-                        parent_tag: tag,
-                    }),
-                );
-                self.stats.internal += 1;
-                // Propagate the workflow root through compiled linear
-                // segments so a downstream fork or join arrival keys the
-                // right barrier. Pure bookkeeping: no draws, no events,
-                // so legacy chain runs stay byte-identical.
-                let root = self.wf_root_of(rid);
-                self.cold_mut(child).wf_root = Some(root);
-                self.cold_mut(rid).chain_child = Some(child);
-                sched.schedule_at(child_issue_at, CloudEvent::FrontendArrive(child));
-                // The producer instance stays busy until the child returns.
-            }
-            None if dag_forks => {
-                let (dag, node) = self.fstate(fid).dag_node.expect("dag_forks checked");
-                self.dag_fork(now, rid, dag, node, sched);
-            }
-            None => {
-                sched.schedule_at(now, CloudEvent::ExecDone(rid, iid));
-            }
-        }
+        sched.schedule_at(now, CloudEvent::ExecDone(rid, iid));
     }
 
-    /// Producer side of a DAG fan-out (the multi-successor analogue of
-    /// the chain arm above): one obligation per out-edge — a direct child
-    /// request for plain successors, a [`CloudEvent::JoinArrive`] for
-    /// fan-in successors — with the producer's instance held busy until
+    /// Producer side of an internal invocation (step ⑨), for a one-edge
+    /// chain and a fan-out alike: one obligation per out-edge — a direct
+    /// child request for plain successors, a [`CloudEvent::JoinArrive`]
+    /// for fan-in successors — each issued after the producer's PUT for
+    /// storage transfers, with the producer's instance held busy until
     /// every obligation resolves.
     fn dag_fork(
         &mut self,
         now: SimTime,
         rid: RequestId,
-        dag: u32,
-        node: u32,
+        fid: FunctionId,
         sched: &mut Scheduler<CloudEvent>,
     ) {
-        // Take the edge table out of `self` so edge payloads can be
-        // sampled while spawning (the fault-plan take/restore idiom).
-        let dags = std::mem::take(&mut self.dags);
-        let edges = &dags[dag as usize].nodes[node as usize].out;
+        // Take the edges out of `self` so edge payloads can be sampled
+        // while spawning (the fault-plan take/restore idiom).
+        let edges = std::mem::take(&mut self.fstate_mut(fid).out);
         let chain_span = self.trace.as_mut().map(Tracer::alloc_id);
         let tag = {
             let cold = self.cold_mut(rid);
@@ -1679,7 +1599,7 @@ impl Cloud {
         };
         let root = self.wf_root_of(rid);
         let inline_cap = self.cfg.network.max_inline_payload;
-        for edge in edges {
+        for edge in &edges {
             let mut payload_bytes = edge.payload.sample(&mut self.rng_dag).round().max(1.0) as u64;
             if edge.mode == TransferMode::Inline {
                 payload_bytes = payload_bytes.min(inline_cap);
@@ -1709,10 +1629,6 @@ impl Cloud {
                     );
                     self.stats.internal += 1;
                     self.dag_counters.entry(edge.target.0).or_default().spawned += 1;
-                    {
-                        let hot = self.hot_mut(child);
-                        hot.set_dag_spawn();
-                    }
                     self.cold_mut(child).wf_root = Some(root);
                     self.dag_children.entry(rid.packed()).or_default().push(child);
                     sched.schedule_at(issue_at, CloudEvent::FrontendArrive(child));
@@ -1732,7 +1648,7 @@ impl Cloud {
                 }
             }
         }
-        self.dags = dags;
+        self.fstate_mut(fid).out = edges;
     }
 
     /// A branch reaches a join barrier. Counted arrivals accumulate until
@@ -1843,7 +1759,6 @@ impl Cloud {
         );
         self.stats.internal += 1;
         self.dag_counters.entry(jfid.0).or_default().spawned += 1;
-        self.hot_mut(jrid).set_dag_spawn();
         self.cold_mut(jrid).wf_root = Some(root);
         self.dag_children.entry(firing.packed()).or_default().push(jrid);
         self.join_meta.insert(
@@ -1853,10 +1768,9 @@ impl Cloud {
         sched.schedule_at(now, CloudEvent::FrontendArrive(jrid));
     }
 
-    /// Resolves one DAG obligation of `parent`; when the last one drains
-    /// the producer's chain wait ends and its instance moves on to the
-    /// response path (the fan-out analogue of the chain resume in
-    /// `on_completed`).
+    /// Resolves one obligation of `parent`; when the last one drains the
+    /// producer's chain wait ends — its `chain` span is emitted — and its
+    /// instance moves on to the response path.
     fn resolve_dag_obligation(
         &mut self,
         now: SimTime,
@@ -2010,10 +1924,10 @@ impl Cloud {
                 self.completions.push(completion);
             }
             RequestOrigin::Internal { parent } => {
+                let chain_span = self.cold(parent).chain_span;
                 if let Some(meta) = self.join_meta.remove(&rid.packed()) {
                     // A fired join's round trip is over: resume every
                     // branch producer that was counted into the barrier.
-                    let chain_span = self.cold(parent).chain_span;
                     self.emit_root_span(rid, now, chain_span);
                     self.record_internal_completion(rid, now);
                     self.dag_counters.entry(self.hot(rid).function.0).or_default().completed += 1;
@@ -2021,43 +1935,17 @@ impl Cloud {
                     for p in meta.parents {
                         self.resolve_dag_obligation(now, p, sched);
                     }
-                } else if self.cold(parent).chain_child == Some(rid) {
-                    // Resume the producer: its chain round-trip is over.
-                    let pinst = self.hot(parent).instance.expect("parent without instance");
-                    let chain_started =
-                        self.cold(parent).chain_started.expect("parent without chain start");
-                    {
-                        let pcold = self.cold_mut(parent);
-                        pcold.breakdown.chain_ms = (now - chain_started).as_millis();
-                        pcold.chain_child = None;
-                    }
-                    let chain_span = self.cold(parent).chain_span;
-                    if let Some(chain_id) = chain_span {
-                        let producer_root = self.cold(parent).root_span;
-                        if let Some(tracer) = self.trace.as_mut() {
-                            tracer.emit(SpanRecord {
-                                span_id: chain_id,
-                                parent: producer_root,
-                                request: parent.packed(),
-                                component: span_tag::CHAIN,
-                                start: chain_started,
-                                end: now,
-                            });
-                        }
-                    }
-                    self.emit_root_span(rid, now, chain_span);
-                    self.record_internal_completion(rid, now);
-                    self.requests.free(rid);
-                    sched.schedule_at(now, CloudEvent::ExecDone(parent, pinst));
                 } else {
-                    // A direct DAG fan-out child: one obligation of its
-                    // forking producer resolves.
-                    let chain_span = self.cold(parent).chain_span;
+                    // A direct child — a chain hop or a fan-out branch:
+                    // one obligation of its producer resolves. Resolving
+                    // first puts the producer's `chain` span (emitted when
+                    // this was its last obligation) ahead of the child's
+                    // root span.
+                    self.resolve_dag_obligation(now, parent, sched);
                     self.emit_root_span(rid, now, chain_span);
                     self.record_internal_completion(rid, now);
                     self.dag_counters.entry(self.hot(rid).function.0).or_default().completed += 1;
                     self.requests.free(rid);
-                    self.resolve_dag_obligation(now, parent, sched);
                 }
             }
         }
@@ -2277,6 +2165,18 @@ impl CloudSim {
         // than a few instances, so reserving a scale-out burst's worth
         // for every function would dominate their memory footprint.
         let cap = cloud.cfg.limits.max_instances_per_function.min(4) as usize;
+        // A chain is a one-edge workflow: its constant payload draws
+        // nothing at fork time.
+        let out = spec
+            .chain
+            .iter()
+            .map(|chain| RuntimeEdge {
+                target: chain.next,
+                mode: chain.mode,
+                payload: Dist::constant(chain.payload_bytes as f64),
+                join: None,
+            })
+            .collect();
         cloud.functions.push(FunctionState {
             spec,
             instances: Vec::with_capacity(cap),
@@ -2292,23 +2192,19 @@ impl CloudSim {
             commit_cap: function_commit_cap,
             image_mb,
             usage: UsageTracker::default(),
-            dag_node: None,
+            out,
         });
         Ok(fid)
     }
 
     /// Deploys a compiled workflow: one function per plan node (named
-    /// `{workflow}/{node}`), wired for fan-out/fan-in execution.
-    ///
-    /// Linear segments — a single out-edge into an in-degree-1 node with
-    /// a constant payload — are lowered onto the legacy `ChainSpec` hot
-    /// path, so a fully linear plan runs byte-identical to the same
-    /// functions deployed with [`crate::spec::FunctionSpecBuilder::chain`].
-    /// All other
-    /// edges are installed in the DAG runtime table: the producer forks
-    /// one obligation per edge at compute-done and stays busy until every
-    /// obligation resolves (downstream completion, or the k-th arrival
-    /// firing a join barrier).
+    /// `{workflow}/{node}`), each carrying its plan out-edges. A producer
+    /// forks one obligation per edge at compute-done and stays busy until
+    /// every obligation resolves (downstream completion, or the k-th
+    /// arrival firing a join barrier) — the same fork path a
+    /// [`crate::spec::FunctionSpecBuilder::chain`] hop takes, so a linear
+    /// plan with constant payloads runs byte-identical to the equivalent
+    /// chain.
     ///
     /// # Errors
     ///
@@ -2334,66 +2230,35 @@ impl CloudSim {
                 }
             }
         }
-        // A node's only out-edge compiles onto the legacy chain path when
-        // the target cannot be a barrier and the payload needs no draw.
-        let chain_target = |i: usize| -> Option<usize> {
-            let node = &plan.nodes[i];
-            if node.out.len() != 1 {
-                return None;
-            }
-            let e = &node.out[0];
-            if plan.nodes[e.to].in_degree != 1 {
-                return None;
-            }
-            e.constant_payload().map(|_| e.to)
-        };
-        // Deploy in reverse topological order so every chain target
-        // already exists when its producer's spec is validated.
+        // Deploy in reverse topological order (consumers first), which
+        // fixes the function ids a workflow's nodes receive.
         let mut fids: Vec<FunctionId> = vec![FunctionId(u32::MAX); plan.nodes.len()];
         for &i in plan.topo.iter().rev() {
             let node = &plan.nodes[i];
-            let mut builder = FunctionSpec::builder(format!("{}/{}", plan.name, node.name))
+            let spec = FunctionSpec::builder(format!("{}/{}", plan.name, node.name))
                 .runtime(node.runtime)
                 .deployment(node.deployment)
                 .memory_mb(node.memory_mb)
                 .extra_image_mb(node.extra_image_mb)
-                .exec_ms(node.exec_ms.clone());
-            if let Some(to) = chain_target(i) {
-                let e = &node.out[0];
-                let bytes = e.constant_payload().expect("chain_target checked constant");
-                builder = builder.chain(fids[to], e.mode, bytes);
-            }
-            fids[i] = self.deploy(builder.build())?;
+                .exec_ms(node.exec_ms.clone())
+                .build();
+            fids[i] = self.deploy(spec)?;
         }
-        let nodes = plan
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let out = if chain_target(i).is_some() {
-                    Vec::new()
-                } else {
-                    node.out
-                        .iter()
-                        .map(|e| {
-                            let tgt = &plan.nodes[e.to];
-                            RuntimeEdge {
-                                target: fids[e.to],
-                                mode: e.mode,
-                                payload: e.payload.clone(),
-                                join: tgt.is_join().then_some((tgt.join_k, tgt.in_degree)),
-                            }
-                        })
-                        .collect()
-                };
-                RuntimeNode { out }
-            })
-            .collect();
         let cloud = self.sim.model_mut();
-        let dag_idx = cloud.dags.len() as u32;
-        cloud.dags.push(InstalledDag { nodes });
-        for (i, &fid) in fids.iter().enumerate() {
-            cloud.functions[fid.index()].dag_node = Some((dag_idx, i as u32));
+        for (node, &fid) in plan.nodes.iter().zip(&fids) {
+            cloud.functions[fid.index()].out = node
+                .out
+                .iter()
+                .map(|e| {
+                    let tgt = &plan.nodes[e.to];
+                    RuntimeEdge {
+                        target: fids[e.to],
+                        mode: e.mode,
+                        payload: e.payload.clone(),
+                        join: tgt.is_join().then_some((tgt.join_k, tgt.in_degree)),
+                    }
+                })
+                .collect();
         }
         Ok(DagDeployment { root: fids[plan.root], functions: fids })
     }
@@ -2425,9 +2290,10 @@ impl CloudSim {
             .collect()
     }
 
-    /// Per-function conservation counters for DAG-engine-spawned requests
-    /// (fan-out children and fired joins). Every spawned request must end
-    /// up completed or cancelled by the time the run drains.
+    /// Per-function conservation counters for requests spawned by the
+    /// fork path (chain hops, fan-out children and fired joins). Every
+    /// spawned request must end up completed or cancelled by the time
+    /// the run drains.
     pub fn dag_node_counters(&self) -> Vec<(FunctionId, DagNodeCounters)> {
         self.sim.model().dag_counters.iter().map(|(&f, &c)| (FunctionId(f), c)).collect()
     }
@@ -2874,7 +2740,7 @@ mod tests {
     }
 
     /// Regression for the cancellation cascade: a ≥3-deep chain cancelled
-    /// mid-flight must free every hop, not just the first `chain_child`.
+    /// mid-flight must free every hop, not just the first child.
     #[test]
     fn deep_chain_cancel_mid_flight_frees_all_hops() {
         let mut sim = CloudSim::new(test_provider(), 7);
@@ -3034,21 +2900,32 @@ mod tests {
         assert_eq!(sim.cancel_stats().cancelled, 4, "root and all three branches cancel");
     }
 
-    /// A fully linear plan compiles every hop onto the legacy chain path:
-    /// no DAG spawns, no barriers, identical hop accounting.
+    /// A linear plan's hops run on the fork path like any other edge:
+    /// each hop is spawned and completed through its per-node counters,
+    /// with no barriers and nothing left behind.
     #[test]
-    fn linear_plan_lowers_to_legacy_chain() {
-        use crate::dag::DagPlan;
-        let plan = DagPlan::linear("line", 3, TransferMode::Inline, 1024, Dist::constant(5.0));
+    fn linear_plan_hops_spawn_and_complete_per_node() {
+        let mut spec = DagSpec::new("line");
+        for name in ["hop0", "hop1", "hop2"] {
+            spec = spec.node(DagNodeSpec::new(name).exec_ms(Dist::constant(5.0)));
+        }
+        for (from, to) in [("hop0", "hop1"), ("hop1", "hop2")] {
+            spec = spec.edge(from, to, TransferMode::Inline, Dist::constant(1024.0));
+        }
         let mut sim = CloudSim::new(test_provider(), 19);
-        let dep = sim.deploy_dag(&plan).unwrap();
+        let dep = sim.deploy_dag(&spec.compile().unwrap()).unwrap();
         sim.submit(dep.root, 0, SimTime::ZERO);
         sim.run_to_idle();
         let done = sim.drain_completions();
         assert_eq!(done.len(), 1);
         assert!(done[0].is_ok());
-        assert_eq!(sim.stats().internal, 2, "two chain hops");
-        assert!(sim.dag_node_counters().is_empty(), "no DAG-engine spawns on a pure chain");
+        assert_eq!(sim.stats().internal, 2, "two hops");
+        let counters = sim.dag_node_counters();
+        assert_eq!(counters.len(), 2, "one entry per hop target");
+        assert!(counters.iter().all(|(fid, _)| dep.functions[1..].contains(fid)));
+        for (_, c) in counters {
+            assert_eq!((c.spawned, c.completed, c.cancelled), (1, 1, 0));
+        }
         assert!(sim.dag_join_stats().is_empty());
         assert!(sim.dag_tables_empty());
     }

@@ -9,10 +9,10 @@
 //! naming the offending nodes) and lowers it into a dense node-indexed
 //! [`DagPlan`] that [`crate::cloud::CloudSim::deploy_dag`] consumes.
 //!
-//! Linear segments — a single out-edge into a node of in-degree one with
-//! a constant payload (see [`PlanEdge::constant_payload`]) — are compiled
-//! down to the legacy `ChainSpec` hot path at deployment, keeping linear
-//! chains byte-identical as the degenerate single-path DAG.
+//! At run time every edge takes the cloud's one fork path, and a
+//! `ChainSpec` hop is simply a one-edge DAG: a linear plan with constant
+//! payloads (a constant payload draws nothing) runs byte-identical to the
+//! equivalent chain of `ChainSpec` functions.
 
 use serde::{Deserialize, Serialize};
 use simkit::dist::Dist;
@@ -427,34 +427,6 @@ pub struct DagPlan {
     pub topo: Vec<usize>,
 }
 
-impl DagPlan {
-    /// A linear-chain plan equivalent to the legacy `ChainSpec` shape:
-    /// `length` nodes in a path, every hop carrying `payload_bytes` over
-    /// `mode`. The degenerate DAG used by the byte-identity tests.
-    pub fn linear(
-        name: &str,
-        length: usize,
-        mode: TransferMode,
-        payload_bytes: u64,
-        exec_ms: Dist,
-    ) -> DagPlan {
-        assert!(length >= 1, "a linear workflow needs at least one node");
-        let mut spec = DagSpec::new(name);
-        for i in 0..length {
-            spec = spec.node(DagNodeSpec::new(format!("{name}-hop{i}")).exec_ms(exec_ms.clone()));
-        }
-        for i in 0..length.saturating_sub(1) {
-            spec = spec.edge(
-                format!("{name}-hop{i}"),
-                format!("{name}-hop{}", i + 1),
-                mode,
-                Dist::constant(payload_bytes as f64),
-            );
-        }
-        spec.compile().expect("linear plan is always valid")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,19 +554,6 @@ mod tests {
         let dup_names =
             DagSpec { name: "w".to_string(), nodes: vec![node("a"), node("a")], edges: vec![] };
         assert!(dup_names.compile().unwrap_err().contains("duplicate node name"));
-    }
-
-    #[test]
-    fn linear_helper_matches_chain_shape() {
-        let plan = DagPlan::linear("f", 3, TransferMode::Storage, 4096, Dist::constant(5.0));
-        assert_eq!(plan.nodes.len(), 3);
-        assert_eq!(plan.root, 0);
-        for (i, n) in plan.nodes.iter().enumerate() {
-            assert_eq!(n.name, format!("f-hop{i}"));
-            assert_eq!(n.out.len(), usize::from(i < 2));
-            assert!(!n.is_join());
-        }
-        assert_eq!(plan.nodes[0].out[0].constant_payload(), Some(4096));
     }
 
     #[test]

@@ -96,6 +96,14 @@ impl FunctionSpec {
             if chain.payload_bytes == 0 {
                 return Err(format!("{}: chained payload must be non-empty", self.name));
             }
+            // The hop deploys as a constant `f64` payload edge, exact up
+            // to 2^53 bytes.
+            if chain.payload_bytes > 1 << f64::MANTISSA_DIGITS {
+                return Err(format!(
+                    "{}: chained payload of {} bytes exceeds 2^53",
+                    self.name, chain.payload_bytes
+                ));
+            }
         }
         Ok(())
     }
@@ -222,6 +230,14 @@ mod tests {
             .chain(FunctionId(0), TransferMode::Inline, 0)
             .try_build()
             .is_err());
+        assert!(FunctionSpec::builder("f")
+            .chain(FunctionId(0), TransferMode::Storage, (1 << 53) + 1)
+            .try_build()
+            .is_err());
+        assert!(FunctionSpec::builder("f")
+            .chain(FunctionId(0), TransferMode::Storage, 1 << 53)
+            .try_build()
+            .is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based invariants of the DAG workflow engine.
 //!
 //! Random layered DAGs — fan-out, all-of-n and k-of-n joins, sampled
-//! (non-constant) payloads so nothing chain-compiles away — must
+//! (non-constant) payloads so every fork draws from the DAG stream — must
 //! conserve per-node spawn accounting, fire every barrier exactly once
 //! per workflow, and leave no state behind after either a clean drain or
 //! a mid-flight cancellation. Cyclic specs must be rejected at compile
@@ -21,8 +21,8 @@ use simkit::time::SimTime;
 /// non-empty subset of the previous layer (so the root is the unique
 /// source and everything is reachable). Fan-in nodes flip a coin
 /// between all-of-n and a random k-of-n quorum. Payload and execution
-/// distributions are sampled, never constant, so no edge is eligible
-/// for the legacy-chain lowering and every hop runs on the DAG engine.
+/// distributions are sampled, never constant, so every edge draws its
+/// payload at fork time.
 fn random_dag(shape: u64) -> DagSpec {
     let mut rng = Rng::seed_from(shape);
     let mut widths = vec![1usize];

@@ -4,9 +4,9 @@
 //! DAG is the *same run* as the legacy `ChainConfig`, bit for bit —
 //! same latencies, same trace digest, same sweep CSV — across every
 //! event-queue backend and however many sweep workers execute the grid.
-//! Deploy-time lowering compiles constant-payload linear segments onto
-//! the legacy chain path before the first event fires, so no DAG-engine
-//! state (and no extra RNG draw) can perturb the stream.
+//! A `ChainConfig` hop and a DAG edge take the cloud's one fork path,
+//! and a constant payload draws nothing from the DAG stream, so both
+//! shapes schedule the same events at the same instants.
 
 use faas_sim::dag::{DagNodeSpec, DagSpec};
 use faas_sim::types::TransferMode;
@@ -37,7 +37,7 @@ fn runtime(samples: u32, legacy_chain: bool) -> RuntimeConfig {
 }
 
 /// The same chain as the legacy `ChainConfig` above, written as a
-/// single-path DAG with constant payloads so every hop chain-compiles.
+/// single-path DAG with constant payloads, so no hop draws its payload.
 fn linear_spec() -> DagSpec {
     let mut spec = DagSpec::new("line");
     for i in 0..LENGTH {

@@ -288,3 +288,220 @@ fn committed_dispatch_matches_golden() {
     }
     assert!(drifted.is_empty(), "committed dispatch drifted:\n{}", drifted.join("\n"));
 }
+
+/// Seed of the chain and application pins below.
+const CHAIN_SEED: u64 = 11;
+
+/// Spans kept by the traced chain runs: enough for every span of a pin.
+const CHAIN_TRACE_CAPACITY: usize = 1 << 18;
+
+/// A legacy `ChainConfig` run: `length` functions passing a 64 KiB
+/// payload over `mode`, with an optional client policy and fault preset.
+/// A policy runs on the workload-spec driver, so those runs carry an
+/// explicit Poisson workload.
+fn chain_runtime(
+    length: u32,
+    mode: faas_sim::types::TransferMode,
+    policy: Option<&str>,
+    faults: Option<&str>,
+) -> RuntimeConfig {
+    let mut runtime = RuntimeConfig::single(IatSpec::short(), 300);
+    runtime.warmup_rounds = 5;
+    runtime.exec_ms = 20.0;
+    runtime.chain =
+        Some(stellar_core::config::ChainConfig { length, mode, payload_bytes: 64 * 1024 });
+    if let Some(name) = policy {
+        runtime.policy = Some(policy::PolicySpec::preset(name).unwrap());
+        runtime.workload = Some(WorkloadSpec::preset("poisson").unwrap());
+    }
+    runtime.faults = faults.map(|name| faults::FaultSpec::preset(name).unwrap());
+    runtime
+}
+
+/// Bits of an aggregate's mean, median and p99.
+fn agg_bits(agg: &stats::sketch::LatencyAgg) -> String {
+    if agg.is_empty() {
+        return "empty".to_string();
+    }
+    let mut agg = agg.clone();
+    format!(
+        "{:#018x}/{:#018x}/{:#018x}",
+        agg.mean().to_bits(),
+        agg.quantile(0.5).to_bits(),
+        agg.quantile(0.99).to_bits()
+    )
+}
+
+/// Count, median bits and p99 bits of every workflow stage.
+fn stage_bits(stages: &[stellar_core::experiment::StageStats]) -> String {
+    stages
+        .iter()
+        .map(|s| {
+            format!(
+                " {}={}/{:#018x}/{:#018x}",
+                s.name,
+                s.count,
+                s.median_ms.to_bits(),
+                s.p99_ms.to_bits()
+            )
+        })
+        .collect()
+}
+
+/// Runs `runtime` (against `app` when given) the way `Experiment::run`
+/// does, but on a cloud the caller keeps, then traces the same run
+/// through `Experiment` itself. The pin holds the run digest, the
+/// transfer-aggregate bits, the cloud's internal-request, spawn, cold
+/// start and cancel counters, the traced run's JSONL digest and, for an
+/// application, its per-stage statistics.
+fn chain_pin(runtime: &RuntimeConfig, app: Option<faas_sim::dag::DagSpec>) -> String {
+    use faas_sim::metric;
+    use stellar_core::deployer::{Deployment, Endpoint};
+    use stellar_core::experiment::Experiment;
+
+    let provider = providers::profiles::aws_like();
+    let mut cloud = faas_sim::cloud::CloudSim::new(provider.clone(), CHAIN_SEED);
+    let deployment = match &app {
+        Some(spec) => {
+            let plan = spec.compile().unwrap();
+            let dep = cloud.deploy_dag(&plan).unwrap();
+            cloud.record_internal_completions(true);
+            Deployment {
+                endpoints: vec![Endpoint {
+                    url: format!("https://{}.sim/{}", provider.name, plan.name),
+                    function: dep.root,
+                    name: plan.name.clone(),
+                }],
+            }
+        }
+        None => {
+            let static_cfg = StaticConfig { functions: vec![StaticFunction::python_zip("fn")] };
+            deploy(&mut cloud, &static_cfg, runtime).unwrap()
+        }
+    };
+    if let Some(spec) = &runtime.faults {
+        cloud.install_faults(spec.build());
+    }
+    let measure = MeasureSpec::default();
+    let r = match &runtime.workload {
+        Some(spec) => {
+            run_workload_spec(&mut cloud, &deployment, runtime, spec, CHAIN_SEED, &measure)
+        }
+        None => run_workload_with(&mut cloud, &deployment, runtime, CHAIN_SEED, &measure),
+    }
+    .unwrap();
+
+    let mut experiment = Experiment::new(provider)
+        .workload(runtime.clone())
+        .seed(CHAIN_SEED)
+        .trace(CHAIN_TRACE_CAPACITY);
+    if let Some(spec) = app {
+        experiment = experiment.app(spec);
+    }
+    let traced = experiment.run().unwrap();
+    assert_eq!(digest(&traced.result), digest(&r), "the harness must replay Experiment::run");
+    assert!(traced.spans.len() < CHAIN_TRACE_CAPACITY, "trace ring evicted spans");
+    let trace = stellar_core::traceio::digest64(&stellar_core::traceio::to_jsonl(&traced.spans));
+
+    let m = cloud.metrics();
+    let mut pin = format!(
+        "{} xfer={} internal={} spawned={} cold_starts={} cancelled={} trace={trace:016x}",
+        digest(&r),
+        agg_bits(&r.transfer_agg),
+        cloud.stats().internal,
+        m.counter(metric::INSTANCES_SPAWNED),
+        m.counter(metric::COLD_STARTS),
+        cloud.cancel_stats().cancelled,
+    );
+    if let Some(dag) = traced.dag {
+        pin += &stage_bits(&dag.stages);
+    }
+    pin
+}
+
+/// Chained invocations pinned across both transports, two chain lengths,
+/// a hedging policy whose cancels cascade into in-flight hops, crash
+/// faults (which must spare a producer waiting on its hop) and purge
+/// storms, plus the linear `web-api` application.
+/// Captured before chains moved onto the workflow engine's fork path;
+/// any change to a chain's draws, events or span order shows up here.
+#[test]
+fn chain_runs_match_golden() {
+    use faas_sim::types::TransferMode::{Inline, Storage};
+    let cases: [(&str, RuntimeConfig, Option<faas_sim::dag::DagSpec>, &str); 17] = [
+        ("inline-2", chain_runtime(2, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=1e44d4fd412b72bf"),
+        ("inline-4", chain_runtime(4, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=fccb672a841ffaf3"),
+        ("storage-2", chain_runtime(2, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=3a2a4ddd9e50a730"),
+        ("storage-4", chain_runtime(4, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=eae4d1b60015f3e4"),
+        ("inline-2+hedge", chain_runtime(2, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=7 dur_ns=27301614846 mean=0x405da49c4455b707 p50=0x405ad28e736049ec p99=0x4079d9d60c2379c9 xfer=0x40317db3e6b53781/0x40297b8d92fb19e7/0x4045ff9e325a9b2d internal=307 spawned=18 cold_starts=18 cancelled=2 trace=6baacfe90234fc9f"),
+        ("inline-4+hedge", chain_runtime(4, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=13 dur_ns=27459218182 mean=0x406ccc2f0c2ae9f2 p50=0x4068397d8be72970 p99=0x409061c95c8693ac xfer=0x4036380b1861f6a0/0x402a5f2096787cea/0x4075e9efeab1642b internal=915 spawned=49 cold_starts=49 cancelled=0 trace=82d4af0e541b3a65"),
+        ("storage-2+hedge", chain_runtime(2, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=8 dur_ns=29785838455 mean=0x406e6acb0da6f941 p50=0x406855a837f7be12 p99=0x40925730222efef1 xfer=0x4061f20c9d89b6d3/0x40580d38c111ada7/0x4090bc5b5eb33eb5 internal=309 spawned=20 cold_starts=20 cancelled=6 trace=9cdbc25c3d92dfbc"),
+        ("storage-4+hedge", chain_runtime(4, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=21 dur_ns=28031473446 mean=0x408266232360f4d3 p50=0x407d2d8f1b25f634 p99=0x409e05a1bd1d8246 xfer=0x4061b15ea325e591/0x4058a3f8ec0f8833/0x409176f3b0d1c48a internal=922 spawned=78 cold_starts=78 cancelled=10 trace=1e31d7e35da9fae8"),
+        ("inline-2~crash", chain_runtime(2, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=1e44d4fd412b72bf"),
+        ("inline-4~crash", chain_runtime(4, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=fccb672a841ffaf3"),
+        ("storage-2~crash", chain_runtime(2, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=3a2a4ddd9e50a730"),
+        ("storage-4~crash", chain_runtime(4, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=eae4d1b60015f3e4"),
+        ("inline-2~purge", chain_runtime(2, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=80 dur_ns=913734375000 mean=0x406fbb5feb8f4c59 p50=0x405ca2914d2f5dbc p99=0x408d9a66f3b61aaf xfer=0x4055712194a1a9cf/0x40302ce78183f91e/0x407aa2cf4a934c1e internal=305 spawned=166 cold_starts=166 cancelled=0 trace=efe05ea9d06efaca"),
+        ("inline-4~purge", chain_runtime(4, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=71 dur_ns=913734375000 mean=0x407c8a26f39d7f65 p50=0x40697ce40639d5e4 p99=0x409d480644f95945 xfer=0x4054078213106ae6/0x40304f23f67f4dbe/0x407c2f15e0f54dca internal=915 spawned=302 cold_starts=302 cancelled=0 trace=cb9a034dca719774"),
+        ("storage-2~purge", chain_runtime(2, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=75 dur_ns=913734375000 mean=0x40779f4253857176 p50=0x4069f24c985f06f7 p99=0x40969c4f63fb7d0b xfer=0x406af714c1ee7769/0x405b72f9a49c2c1b/0x4094eb33cbb118e3 internal=305 spawned=160 cold_starts=160 cancelled=0 trace=470d26a7d934454f"),
+        ("storage-4~purge", chain_runtime(4, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=60 dur_ns=918468750000 mean=0x40888935c4838b74 p50=0x407eb2d98fa37692 p99=0x40a63ebf8e60ab62 xfer=0x406825f11add7264/0x405b728d9f9053a0/0x4094dc80476b238e internal=915 spawned=275 cold_starts=275 cancelled=0 trace=338d47d6adc1a614"),
+        ("web-api", web_api_runtime(), Some(appsuite::web_api()), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x406c8bf863131fc3 p50=0x406b8efbafd976ff p99=0x40781327eac83560 xfer=0x402a0a5173d7afbf/0x4025df77c02afdda/0x40441da773b75cc6 internal=610 spawned=3 cold_starts=3 cancelled=0 trace=07ed5a89abc87812 auth=305/0x40501229f205d9ce/0x405cc8eb96869d28 logic=305/0x405447ed68089de9/0x406d20150210f437 render=305/0x404e7d884605a52a/0x4068ede3d9b995a1"),
+    ];
+    let mut drifted = Vec::new();
+    for (label, runtime, app, golden) in cases {
+        let got = chain_pin(&runtime, app);
+        if got != golden {
+            drifted.push(format!("{label}: {got}"));
+        }
+    }
+    assert!(drifted.is_empty(), "chain runs drifted:\n{}", drifted.join("\n"));
+}
+
+/// The `web-api` application's workload: the default single-function
+/// runtime with warm-up rounds (node execution models override
+/// `exec_ms`).
+fn web_api_runtime() -> RuntimeConfig {
+    let mut runtime = RuntimeConfig::single(IatSpec::short(), 300);
+    runtime.warmup_rounds = 5;
+    runtime
+}
+
+/// Fan-out and join applications: run digest, transfer bits, per-stage
+/// statistics and join reports. Their trace is deliberately not pinned —
+/// a producer's `chain` span may precede or follow its last direct
+/// child's root span without changing any result.
+#[test]
+fn fan_out_apps_match_golden() {
+    let cases: [(&str, faas_sim::dag::DagSpec, &str); 3] = [
+        ("thumbnail", appsuite::thumbnail(), "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x408675c604f99d4a p50=0x4081a6bf19934efc p99=0x40a5af9e99402d66 xfer=0x406d053329fe8f6a/0x405ee49461b6d43d/0x409a125c5e780574 upload=305/0x40545a022e5b51e0/0x406729169ef8e68c resize-64=305/0x4062cae7f7a458a8/0x4093c3951a82532b resize-128=305/0x406248201dc4e94f/0x407f9f6aa2a47002 resize-256=305/0x406238c3a95c0af9/0x4081cae166acfdc7 resize-512=305/0x4061c60c84eeb421/0x407af54058a963f2 collect=305/0x405a6def15405aca/0x408da4c44446f30a join:collect=305/0/0x40909f68b47c73ef/0x40a26d9542c3c9ef"),
+        ("map-reduce", appsuite::map_reduce(), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x40832ad24284c32c p50=0x4081d311c0010c70 p99=0x40958d38ee270f8d xfer=0x405e827751a4674b/0x403524564f97edc8/0x4088b7f25afe7e44 ingest=305/0x4056147687ea63ec/0x406a9cd559bea858 map-0=305/0x4063c40b14d34864/0x4086132e83b3a335 map-1=305/0x406607aff8f35e82/0x408845cc22811694 map-2=305/0x406458fb2808eed6/0x408bc5702d373622 map-3=305/0x406614fd25ef6d5a/0x408ac4c62019f628 map-4=305/0x4064a2ef9a82d44d/0x4086f68bea0a0910 map-5=305/0x406410a69233a5c5/0x408515ef173a328b reduce=305/0x40537f806495daf5/0x406d31b691e94f17 join:reduce=305/0/0x4087dedb6aa4b988/0x40936779c1b54196"),
+        ("scatter-gather", appsuite::scatter_gather(), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4079e5e4e9d1c050 p50=0x40767e994ea07703 p99=0x409065d786f7d664 xfer=0x404127e6b858c23c/0x4034514c8ffb8b26/0x4063c7be104115cc scatter=305/0x40521d18a4b82b40/0x4063728e2f08f284 lookup-0=305/0x404f5f615916d0de/0x4086f13606537241 lookup-1=305/0x4050ffe367999e3a/0x40866031f914b92a lookup-2=305/0x4050dd2e0cd24d2e/0x4081f86dd17f2457 lookup-3=305/0x4051af4e3f44da34/0x407bf9185a8f8b5e lookup-4=305/0x40508fbb605e6a54/0x40818b89e43c2f34 lookup-5=305/0x405247867350de9f/0x40792a3415da7f7a lookup-6=305/0x404e8d577306ae54/0x407cacf992fc6af4 lookup-7=305/0x405017bf503eb265/0x407b26085ced135f lookup-8=305/0x4050aed71edef0c6/0x4080240642d4d90d lookup-9=305/0x40509fde366a99b0/0x407af1a3e74647ab lookup-10=305/0x404ee3fe762f0ffe/0x4083d5a7fc783187 lookup-11=305/0x4050513d228fa868/0x4076bd3dcb7076e2 lookup-12=305/0x404f5ed3f46ef83c/0x407ba2276c1c626e lookup-13=305/0x40514605b53b2056/0x4080aac0a1dcbdeb lookup-14=305/0x40515170ffe077e1/0x408497cc55556995 lookup-15=305/0x4050fff81907064a/0x407c399d208c8db3 gather=305/0x40447b211ac91e4c/0x4060f0323520d67b join:gather=305/1220/0x40805c2c7e28240b/0x406b90d058dde7a7"),
+    ];
+    let mut drifted = Vec::new();
+    for (label, app, golden) in cases {
+        let outcome = stellar_core::experiment::Experiment::new(providers::profiles::aws_like())
+            .workload(web_api_runtime())
+            .seed(CHAIN_SEED)
+            .app(app)
+            .run()
+            .unwrap();
+        let dag = outcome.dag.expect("application runs report stage stats");
+        let mut got =
+            format!("{} xfer={}", digest(&outcome.result), agg_bits(&outcome.result.transfer_agg));
+        got += &stage_bits(&dag.stages);
+        for j in dag.joins {
+            got += &format!(
+                " join:{}={}/{}/{:#018x}/{:#018x}",
+                j.stage,
+                j.fired,
+                j.stragglers,
+                j.branch_p99_ms.to_bits(),
+                j.join_p99_ms.to_bits()
+            );
+        }
+        if got != golden {
+            drifted.push(format!("{label}: {got}"));
+        }
+    }
+    assert!(drifted.is_empty(), "fan-out applications drifted:\n{}", drifted.join("\n"));
+}
