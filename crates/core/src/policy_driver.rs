@@ -45,7 +45,7 @@ use policy::machine::{Action, Actions, PolicyEvent};
 use policy::{Composite, PolicyMachine, PolicySpec, PolicyStats};
 use simkit::rng::Rng;
 use simkit::time::SimTime;
-use stats::sketch::QuantileSketch;
+use stats::percentile::RunningQuantile;
 use workload::arrival::ArrivalProcess;
 use workload::stats::LoadRecorder;
 
@@ -92,7 +92,7 @@ struct Slot {
 /// Winner samples needed before an online quantile threshold activates.
 /// Below this the estimate is too noisy to hedge on; machines treat a
 /// NaN estimate as "do not fire".
-const ESTIMATE_WARMUP: u64 = 20;
+const ESTIMATE_WARMUP: usize = 20;
 
 /// Advance-at-most slice when no timer or arrival is nearer, 1 s.
 const SLICE: SimTime = SimTime::from_nanos(1_000_000_000);
@@ -132,7 +132,10 @@ pub(crate) fn drive_with_policy(
     // and are flushed once the clock passes them.
     let mut record_heap: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
     let mut jitter_rng = Rng::seed_from(seed).fork("policy");
-    let mut estimate_sketch = QuantileSketch::new();
+    // The exact quantile of every winner so far, read on each arrival:
+    // O(log n) per winner and O(1) per read, 8 B per winner (reserved up
+    // front from the known request count).
+    let mut estimate = online_q.map(|q| RunningQuantile::with_capacity(q, total as usize));
     let mut stats = PolicyStats::default();
 
     let mut slots: Vec<Slot> = Vec::new();
@@ -153,9 +156,9 @@ pub(crate) fn drive_with_policy(
     // still owe a user turn.
     let mut turns: Vec<SimTime> = Vec::new();
 
-    let estimate_ms = |sketch: &mut QuantileSketch| -> f64 {
-        match online_q {
-            Some(q) if sketch.count() >= ESTIMATE_WARMUP => sketch.quantile(q),
+    let estimate_ms = |estimate: &Option<RunningQuantile>| -> f64 {
+        match estimate {
+            Some(e) if e.count() >= ESTIMATE_WARMUP => e.value(),
             _ => f64::NAN,
         }
     };
@@ -202,7 +205,7 @@ pub(crate) fn drive_with_policy(
             slot.outstanding = 1;
             stats.logical += 1;
             record_heap.push(std::cmp::Reverse(at.as_nanos()));
-            let est = estimate_ms(&mut estimate_sketch);
+            let est = estimate_ms(&estimate);
             actions.clear();
             slot.machine.on_event(
                 PolicyEvent::Issued { now_ms: at.as_millis(), estimate_ms: est },
@@ -414,7 +417,9 @@ pub(crate) fn drive_with_policy(
             if first {
                 slot.won = true;
                 stats.used_busy_ms += busy_ms;
-                estimate_sketch.record(c.latency_ms());
+                if let Some(e) = estimate.as_mut() {
+                    e.record(c.latency_ms());
+                }
                 collector.absorb(c);
                 resolved += 1;
                 turns.push(now);

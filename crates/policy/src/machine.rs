@@ -35,9 +35,12 @@ const EPS_MS: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyEvent {
     /// The logical request's primary attempt was submitted at `now_ms`.
-    /// `estimate_ms` is the harness's current online estimate of the
-    /// latency quantile this run's hedge policies are configured to
-    /// track (NaN until enough samples have been observed).
+    /// `estimate_ms` is the latency quantile this run's hedge policies
+    /// are configured to track: the exact type-7 quantile of every
+    /// winning attempt's latency so far (NaN until enough winners have
+    /// been observed). The policy driver keeps it in a
+    /// `stats::percentile::RunningQuantile` — O(log n) per winner, O(1)
+    /// per read, 8 B of memory per winner.
     Issued { now_ms: f64, estimate_ms: f64 },
     /// A previously armed wake-up fired. Delivered to *every* machine
     /// in a composition; each one checks the time against its own
@@ -209,7 +212,7 @@ impl PolicyMachine for Hedge {
                     Threshold::StaticMs(ms) => ms,
                     Threshold::Quantile(_) => estimate_ms,
                 };
-                // A NaN estimate means the sketch has not warmed up yet:
+                // A NaN estimate has not warmed up yet:
                 // run this request unhedged rather than guessing.
                 if thr.is_finite() && thr > 0.0 && self.max_hedges > 0 {
                     self.threshold_ms = thr;

@@ -232,7 +232,13 @@ impl QuantileSketch {
     /// otherwise within the [`rank_error_bound`](Self::rank_error_bound).
     ///
     /// Takes `&mut self` because pending buffered samples are folded into
-    /// the centroids first.
+    /// the centroids first: a call with any sample buffered runs a full
+    /// compress (a stable sort plus a re-cluster of every centroid,
+    /// O(centroids)), and in exact mode every call sorts a copy of all
+    /// samples. This is an end-of-run read, not a per-event query; to
+    /// read one quantile between records, use
+    /// [`crate::percentile::RunningQuantile`] (O(1) per read, O(log n)
+    /// per record).
     ///
     /// # Panics
     ///

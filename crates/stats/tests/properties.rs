@@ -5,8 +5,8 @@ use stats::bootstrap::bootstrap_ci;
 use stats::cdf::Cdf;
 use stats::ks::{ks_critical, ks_statistic};
 use stats::metrics::FactorRatios;
-use stats::percentile::{median, percentile, sorted_percentile};
-use stats::sketch::QuantileSketch;
+use stats::percentile::{median, percentile, sort_samples, sorted_percentile, RunningQuantile};
+use stats::sketch::{QuantileSketch, DEFAULT_EXACT_THRESHOLD};
 use stats::summary::Summary;
 
 fn samples_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -133,6 +133,34 @@ proptest! {
         prop_assert!(r.tr >= r.mr - 1e-9, "p99 >= median implies TR >= MR");
     }
 
+    /// RunningQuantile reads back the exact type-7 quantile of every
+    /// prefix, bit for bit: heavy ties (a handful of integer values)
+    /// mixed with continuous draws, so samples land above, below and on
+    /// the current heap tops, from n = 1 up.
+    #[test]
+    fn running_quantile_matches_sorted_percentile(
+        xs in prop::collection::vec(
+            prop_oneof![(0u8..6).prop_map(f64::from), -1e3f64..1e6],
+            1..150,
+        )
+    ) {
+        let qs = [0.0, 0.5, 0.95, 0.99, 1.0];
+        let mut running: Vec<RunningQuantile> = qs.iter().map(|&q| RunningQuantile::new(q)).collect();
+        for n in 1..=xs.len() {
+            let mut sorted = xs[..n].to_vec();
+            sort_samples(&mut sorted);
+            for (r, &q) in running.iter_mut().zip(&qs) {
+                r.record(xs[n - 1]);
+                prop_assert_eq!(r.count(), n);
+                prop_assert_eq!(
+                    r.value().to_bits(),
+                    sorted_percentile(&sorted, q).to_bits(),
+                    "q={} n={}", q, n
+                );
+            }
+        }
+    }
+
     /// Bootstrap CIs bracket their point estimate.
     #[test]
     fn bootstrap_brackets_estimate(xs in prop::collection::vec(0.0f64..1000.0, 5..80), seed in any::<u64>()) {
@@ -140,5 +168,27 @@ proptest! {
         prop_assert!(ci.lo <= ci.estimate + 1e-9);
         prop_assert!(ci.estimate <= ci.hi + 1e-9);
         prop_assert!(ci.contains(ci.estimate));
+    }
+}
+
+/// Below the sketch's exact threshold, `QuantileSketch::quantile` and
+/// `RunningQuantile::value` are the same type-7 quantile: the policy
+/// driver swapped one for the other without moving a small run's bits.
+#[test]
+fn running_quantile_matches_exact_mode_sketch() {
+    let qs = [0.0, 0.5, 0.9, 0.95, 0.99, 1.0];
+    let mut sketch = QuantileSketch::new();
+    let mut running: Vec<RunningQuantile> =
+        qs.iter().map(|&q| RunningQuantile::with_capacity(q, DEFAULT_EXACT_THRESHOLD)).collect();
+    let mut rng = simkit::rng::Rng::seed_from(11);
+    for n in 1..=DEFAULT_EXACT_THRESHOLD {
+        // Latency-shaped draws on a 0.25 ms grid: a long tail plus ties.
+        let v = (rng.next_f64().powi(6) * 4_000.0 * 4.0).round() / 4.0 + 20.0;
+        sketch.record(v);
+        assert!(!sketch.is_sketching(), "n={n} must still be exact");
+        for (r, &q) in running.iter_mut().zip(&qs) {
+            r.record(v);
+            assert_eq!(r.value().to_bits(), sketch.quantile(q).to_bits(), "q={q} n={n}");
+        }
     }
 }

@@ -151,6 +151,50 @@ fn spec_driver_no_policy_matches_golden() {
     }
 }
 
+/// A hedge-p95 run long enough that its online threshold is read well
+/// past 1024 winners, where an estimator exact only on small sample sets
+/// (the t-digest's exact mode) would drift from the exact quantile: pins
+/// the latency digest and every `PolicyStats` field, so a change to how
+/// the threshold is estimated at large n shows up as moved hedge, cancel
+/// and wasted-work counts. (The t-digest estimator hedged 96 times here,
+/// the exact one 108.)
+#[test]
+fn large_hedged_run_matches_golden() {
+    let mut cfg = RuntimeConfig::single(IatSpec::short(), 6_000)
+        .with_policy(policy::PolicySpec::preset("hedge-p95").unwrap());
+    cfg.warmup_rounds = 10;
+    let spec = WorkloadSpec::preset("mmpp-burst").unwrap();
+    let static_cfg = StaticConfig { functions: vec![StaticFunction::python_zip("f")] };
+    let mut cloud = faas_sim::cloud::CloudSim::new(providers::profiles::aws_like(), CLOUD_SEED);
+    let d = deploy(&mut cloud, &static_cfg, &cfg).unwrap();
+    let r = run_workload_spec(&mut cloud, &d, &cfg, &spec, CLIENT_SEED, &MeasureSpec::sketch())
+        .unwrap();
+    assert!(r.measured_count >= 5_000, "too few winners to reach the large-n path");
+    let p = r.policy.expect("policy runs report stats");
+    let policy = format!(
+        "logical={} extra={} cancels={} dup={} abandoned={} failures={} failed_logical={} used={:#018x} wasted={:#018x}",
+        p.logical,
+        p.extra_launches,
+        p.cancels,
+        p.duplicate_successes,
+        p.abandoned,
+        p.failures,
+        p.failed_logical,
+        p.used_busy_ms.to_bits(),
+        p.wasted_busy_ms.to_bits(),
+    );
+    assert_eq!(
+        digest(&r),
+        "measured=6000 warmup=10 cold=79 dur_ns=267798096944 mean=0x4049a360d2a3ac12 p50=0x4046376ff9134422 p99=0x40716b4795703f2e",
+        "hedged latency digest drifted"
+    );
+    assert_eq!(
+        policy,
+        "logical=6010 extra=108 cancels=108 dup=12 abandoned=0 failures=0 failed_logical=0 used=0x40e5ad83a1b51787 wasted=0x40718187530cce7e",
+        "hedged PolicyStats drifted"
+    );
+}
+
 /// `digest` plus the instance-lifecycle counters committed dispatch
 /// drives: a change in which instance a request lands on moves spawns,
 /// cold/warm starts and reaps even when the latency bits happen to agree.
