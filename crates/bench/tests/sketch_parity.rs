@@ -4,9 +4,8 @@
 //! must land within the documented rank-error bound of the exact
 //! percentiles — at a sample count where the t-digest is genuinely
 //! sketching, not in its exact-mode fallback. The figure-parity half
-//! covers the histogram retirement: the quantile CSV and the deprecated
-//! [`stats::histogram::LogHistogram`] shim both answer from the shared
-//! sketch and must stay within the same bound.
+//! checks that every row of the quantile CSV the CDF figures plot, which
+//! answers from the same sketch, stays within the same bound.
 
 use providers::profiles::{aws_like, google_like};
 use stats::percentile::{sort_samples, sorted_percentile};
@@ -44,15 +43,13 @@ fn assert_parity(label: &str, base: &Experiment) {
     }
 }
 
-/// Histogram-retirement check: the quantile CSV the CDF figures plot and
-/// the deprecated [`stats::histogram::LogHistogram`] shim — both now
-/// answering from the shared sketch — must reproduce the exact
-/// distribution within the documented rank-error bound.
+/// Figure check: the quantile CSV the CDF figures plot, answered from
+/// the sketch, must reproduce the exact distribution within the
+/// documented rank-error bound.
 fn assert_figure_parity(label: &str, base: &Experiment) {
     let exact = base.clone().run().expect("exact run");
     let mut sorted = exact.latencies_ms();
     sort_samples(&mut sorted);
-    let n = sorted.len();
 
     let sketched = base.clone().measure(MeasureSpec::sketch()).run().expect("sketch run");
     let agg = sketched.result.latency_agg.clone();
@@ -73,29 +70,6 @@ fn assert_figure_parity(label: &str, base: &Experiment) {
             value >= lo - 2e-3 && value <= hi + 2e-3,
             "{label} CSV q={q}: {value} outside exact window [{lo:.4}, {hi:.4}] (eps {eps:.4})"
         );
-    }
-
-    // The shim conserves mass exactly and keeps every cumulative bin
-    // count within the rank-error bound of the exact ranks.
-    #[allow(deprecated)]
-    {
-        use stats::histogram::LogHistogram;
-        let mut hist = LogHistogram::new(sorted[0], sorted[n - 1], 12);
-        hist.record_all(sorted.iter().copied());
-        let counts = hist.counts();
-        let total = hist.underflow() + counts.iter().sum::<u64>() + hist.overflow();
-        assert_eq!(total as usize, n, "{label}: histogram must conserve mass");
-        let tol = (n as f64 * hist.sketch().rank_error_bound(0.5)).ceil() as i64 * 2;
-        let mut cum = hist.underflow() as i64;
-        for (i, &c) in counts.iter().enumerate() {
-            let (edge, _) = hist.bin_edges(i);
-            let exact_rank = sorted.partition_point(|&s| s < edge) as i64;
-            assert!(
-                (cum - exact_rank).abs() <= tol,
-                "{label} bin {i} @ {edge:.3}: cum rank {cum} vs exact {exact_rank} (tol {tol})"
-            );
-            cum += c as i64;
-        }
     }
 }
 

@@ -15,6 +15,7 @@ use simkit::engine::{Model, Scheduler, SeqBlock, Simulation};
 use simkit::metrics::Metrics;
 use simkit::queue::FifoQueue;
 use simkit::rng::Rng;
+use simkit::soa::EventKey;
 use simkit::time::SimTime;
 use simkit::trace::{RingCollector, SpanRecord, TraceSink, Tracer};
 
@@ -24,7 +25,7 @@ use crate::billing::{ResourceUsage, UsageTracker};
 use crate::config::{ProviderConfig, ScalePolicy};
 use crate::dag::DagPlan;
 use crate::events::CloudEvent;
-use crate::instance::Instance;
+use crate::instance::{Instance, KeepAliveFire};
 use crate::loadbalancer::DispatchServer;
 use crate::loadindex::LoadIndex;
 use crate::request::{ColdBreakdown, Completion, RequestOrigin, TransferSample};
@@ -563,6 +564,8 @@ pub struct Cloud {
     /// `internal_completions`, for stage reports whose client discards
     /// its samples.
     record_roots: bool,
+    /// Latest keep-alive deadline ever drawn (see [`Cloud::run_active`]).
+    last_deadline: Option<EventKey>,
 }
 
 impl Cloud {
@@ -593,6 +596,7 @@ impl Cloud {
             internal_completions: Vec::new(),
             record_internal: false,
             record_roots: false,
+            last_deadline: None,
             cfg,
             functions: Vec::new(),
             requests: RequestArena::default(),
@@ -933,8 +937,8 @@ impl Cloud {
     }
 
     /// Purge-storm tick: reap every idle instance in the fleet, then
-    /// reschedule with an exponential gap — only while other work is
-    /// pending, so runs still drain to idle (telemetry-tick idiom).
+    /// reschedule with an exponential gap — only while the run is active
+    /// (see [`Cloud::run_active`]), so runs still drain to idle.
     fn on_fault_storm(&mut self, now: SimTime, sched: &mut Scheduler<CloudEvent>) {
         let Some(plan) = self.fault_plan.take() else { return };
         let Some(storm) = plan.storm else {
@@ -945,8 +949,7 @@ impl Cloud {
         for f in 0..self.functions.len() {
             let state = &mut self.functions[f];
             for idx in 0..state.instances.len() {
-                let epoch = state.instances[idx].epoch();
-                if state.instances[idx].try_reap(epoch) {
+                if state.instances[idx].purge() {
                     state.loads.unlive(idx);
                     state.usage.on_reap(idx, now);
                     state.n_idle -= 1;
@@ -956,7 +959,7 @@ impl Cloud {
                 }
             }
         }
-        if !sched.is_empty() {
+        if self.run_active(now, sched) {
             let gap_ms = -storm.mean_gap_ms * self.rng_faults.next_f64_open().ln();
             sched.schedule_in(now, SimTime::from_millis(gap_ms), CloudEvent::FaultStorm);
         }
@@ -1973,32 +1976,65 @@ impl Cloud {
         });
     }
 
+    /// Draws the keep-alive deadline of an instance that just went idle.
+    /// The deadline takes a sequence number as if its own check were
+    /// queued, but a check is queued only when the instance's tracked
+    /// timer would fire later (see [`crate::instance`]).
     fn maybe_schedule_reap(
         &mut self,
         now: SimTime,
         iid: InstanceId,
         sched: &mut Scheduler<CloudEvent>,
     ) {
-        let inst = &self.fstate(iid.function()).instances[iid.idx as usize];
-        if inst.is_idle() {
-            let epoch = inst.epoch();
-            let timeout = self.cfg.keepalive.idle_timeout_ms.sample(&mut self.rng_cold);
-            sched.schedule_in(
-                now,
-                SimTime::from_millis(timeout),
-                CloudEvent::ReapCheck(iid, epoch),
-            );
+        if !self.fstate(iid.function()).instances[iid.idx as usize].is_idle() {
+            return;
+        }
+        let timeout = self.cfg.keepalive.idle_timeout_ms.sample(&mut self.rng_cold);
+        let deadline = EventKey {
+            at: now + SimTime::from_millis(timeout),
+            seq: sched.reserve_seq_block(1).take(),
+        };
+        self.last_deadline = self.last_deadline.max(Some(deadline));
+        let inst = &mut self.fstate_mut(iid.function()).instances[iid.idx as usize];
+        if let Some(timer) = inst.arm_keepalive(deadline) {
+            sched.schedule_at_with_seq(timer.at, timer.seq, CloudEvent::ReapCheck(iid, timer.seq));
         }
     }
 
-    fn on_reap_check(&mut self, now: SimTime, iid: InstanceId, epoch: u64) {
+    fn on_reap_check(
+        &mut self,
+        now: SimTime,
+        iid: InstanceId,
+        seq: u64,
+        sched: &mut Scheduler<CloudEvent>,
+    ) {
         let state = self.fstate_mut(iid.function());
-        if state.instances[iid.idx as usize].try_reap(epoch) {
-            state.loads.unlive(iid.idx as usize);
-            state.usage.on_reap(iid.idx as usize, now);
-            state.n_idle -= 1;
-            self.stats.reaps += 1;
+        match state.instances[iid.idx as usize].fire_keepalive(seq) {
+            KeepAliveFire::Reaped => {
+                state.loads.unlive(iid.idx as usize);
+                state.usage.on_reap(iid.idx as usize, now);
+                state.n_idle -= 1;
+                self.stats.reaps += 1;
+            }
+            KeepAliveFire::Rearm(timer) => {
+                sched.schedule_at_with_seq(
+                    timer.at,
+                    timer.seq,
+                    CloudEvent::ReapCheck(iid, timer.seq),
+                );
+            }
+            KeepAliveFire::Ignored => {}
         }
+    }
+
+    /// Whether the run still has work after the event being dispatched:
+    /// a pending event, or a keep-alive deadline not yet reached. Periodic
+    /// ticks (telemetry, purge storms) reschedule only while this holds.
+    /// Every deadline drawn counts until it passes, queued or not, so how
+    /// long the ticks run does not depend on which deadlines got a timer.
+    fn run_active(&self, now: SimTime, sched: &Scheduler<CloudEvent>) -> bool {
+        let current = EventKey { at: now, seq: sched.current_seq() };
+        !sched.is_empty() || self.last_deadline.is_some_and(|deadline| deadline > current)
     }
 }
 
@@ -2029,10 +2065,10 @@ impl Cloud {
                 f64::from(state.n_booting),
             );
         }
-        // Keep ticking only while other work is pending, so runs that
-        // drain to idle still terminate.
-        if !sched.is_empty() {
-            let interval = recorder.interval;
+        // Keep ticking only while the run is active, so runs that drain
+        // to idle still terminate.
+        let interval = recorder.interval;
+        if self.run_active(now, sched) {
             sched.schedule_in(now, interval, CloudEvent::TelemetryTick);
         }
     }
@@ -2063,7 +2099,7 @@ impl Model for Cloud {
             CloudEvent::ExecDone(rid, iid) => self.on_exec_done(now, rid, iid, sched),
             CloudEvent::Completed(rid) => self.on_completed(now, rid, sched),
             CloudEvent::Cancel(rid) => self.on_cancel(now, rid, sched),
-            CloudEvent::ReapCheck(iid, epoch) => self.on_reap_check(now, iid, epoch),
+            CloudEvent::ReapCheck(iid, seq) => self.on_reap_check(now, iid, seq, sched),
             CloudEvent::ScaleTick(fid) => self.on_scale_tick(now, fid, sched),
             CloudEvent::TelemetryTick => self.on_telemetry_tick(now, sched),
             CloudEvent::FaultStorm => self.on_fault_storm(now, sched),
@@ -2426,12 +2462,15 @@ impl CloudSim {
         self.sim.run_until(horizon);
     }
 
-    /// Runs the simulation until no events remain.
-    ///
-    /// Note: keep-alive reap checks count as events, so this runs past the
-    /// last idle timeout.
+    /// Runs the simulation until no events remain, then advances the
+    /// clock to the latest keep-alive deadline ever drawn if that is
+    /// later: the run ends past the last idle timeout, whether or not a
+    /// check for it was queued.
     pub fn run_to_idle(&mut self) {
         self.sim.run();
+        if let Some(deadline) = self.sim.model().last_deadline {
+            self.sim.run_until(deadline.at);
+        }
     }
 
     /// Current simulated time.
@@ -2554,8 +2593,8 @@ impl CloudSim {
 
     /// Enables periodic fleet telemetry: every `interval` the simulator
     /// records one [`TimelineSample`] per deployed function (instances by
-    /// state, queued requests). Sampling stops automatically when the
-    /// event queue drains.
+    /// state, queued requests). Sampling stops automatically when the run
+    /// goes idle: no event pending and no keep-alive deadline ahead.
     ///
     /// # Panics
     ///

@@ -37,14 +37,17 @@ pub enum CloudEvent {
     /// policies): the request is dropped at this event boundary, freeing
     /// its instance if it was executing.
     Cancel(RequestId),
-    /// Keep-alive check for an idle instance at the given epoch.
+    /// The instance's keep-alive timer, carrying the sequence number of
+    /// the deadline it was queued for. Each instance tracks one timer; a
+    /// superseded one is ignored when it fires (see [`crate::instance`]).
     ReapCheck(InstanceId, u64),
     /// Periodic scale-controller tick for a function (Azure-style).
     ScaleTick(FunctionId),
     /// Telemetry sampling tick (enabled via `CloudSim::enable_timeline`).
     TelemetryTick,
     /// Keepalive-purge storm tick (fault injection): reaps every idle
-    /// instance, then reschedules itself while the run is still active.
+    /// instance, then reschedules itself while the run is still active
+    /// (work pending or a keep-alive deadline ahead).
     FaultStorm,
     /// A DAG branch produced by the request reaches the join barrier of
     /// the given fan-in function (delayed by the storage PUT for storage

@@ -1,9 +1,20 @@
 //! Function instance lifecycle state machine.
 //!
 //! Instances move `Booting → Idle ⇄ Busy → Dead`, with keep-alive reaping
-//! from `Idle`. Each state change bumps an epoch counter so that stale
-//! reap events (scheduled before the instance was reused) are ignored.
+//! from `Idle`. Each state change bumps an epoch counter.
+//!
+//! Every idle epoch draws a keep-alive deadline: the `(time, seq)` key at
+//! which its reap check fires. An instance keeps **one** timer in the
+//! event queue, never one per idle transition. A new deadline is queued
+//! only when it beats the tracked timer. When the timer fires, it reaps
+//! the instance if this is the deadline of the epoch the instance is
+//! still idle in. If the instance idled again since, the timer re-arms at
+//! that epoch's deadline, at its exact key. If the instance is busy or
+//! dead, the timer drops. So every reap pops at the same `(time, seq)` key
+//! as the earliest check of its epoch would have, while the queue holds
+//! O(live instances) keep-alive events.
 
+use simkit::soa::EventKey;
 use simkit::time::SimTime;
 
 use crate::types::{InstanceId, RequestId};
@@ -30,6 +41,18 @@ pub enum InstanceState {
     Dead,
 }
 
+/// What a firing keep-alive timer does (see [`Instance::fire_keepalive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeepAliveFire {
+    /// The instance was idle past its deadline and is now dead.
+    Reaped,
+    /// The instance idled again since the timer was queued: queue the
+    /// timer again at the contained deadline.
+    Rearm(EventKey),
+    /// Superseded timer, or an instance that is busy or dead.
+    Ignored,
+}
+
 /// One function instance.
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -38,6 +61,11 @@ pub struct Instance {
     epoch: u64,
     served: u64,
     spawned_at: SimTime,
+    /// Keep-alive deadline of the latest idle epoch, with that epoch.
+    deadline: Option<(EventKey, u64)>,
+    /// Key of the one keep-alive timer this instance tracks in the event
+    /// queue. Never later than `deadline` while that epoch lasts.
+    timer: Option<EventKey>,
 }
 
 impl Instance {
@@ -50,6 +78,8 @@ impl Instance {
             epoch: 0,
             served: 0,
             spawned_at: now,
+            deadline: None,
+            timer: None,
         }
     }
 
@@ -163,16 +193,61 @@ impl Instance {
         }
     }
 
-    /// Keep-alive expiry: `Idle → Dead`, but only if the epoch still
-    /// matches (otherwise the instance was reused and the reap is stale).
-    /// Returns whether the instance died.
-    pub fn try_reap(&mut self, epoch: u64) -> bool {
-        if self.is_idle() && self.epoch == epoch {
+    /// Purge (fault injection): `Idle → Dead` whatever the keep-alive
+    /// deadline. Returns whether the instance died.
+    pub fn purge(&mut self) -> bool {
+        if self.is_idle() {
             self.state = InstanceState::Dead;
             self.epoch += 1;
             true
         } else {
             false
+        }
+    }
+
+    /// Records `key` as the keep-alive deadline of the current idle epoch.
+    /// An epoch that already has one keeps the earlier key, the check that
+    /// fires first. Returns the key at which to queue a new timer: `Some`
+    /// only when no timer is tracked or the tracked one fires later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance is not idle.
+    pub fn arm_keepalive(&mut self, key: EventKey) -> Option<EventKey> {
+        assert!(self.is_idle(), "arm_keepalive on {:?}", self.state);
+        let deadline = match self.deadline {
+            Some((earlier, epoch)) if epoch == self.epoch => earlier.min(key),
+            _ => key,
+        };
+        self.deadline = Some((deadline, self.epoch));
+        if self.timer.is_some_and(|timer| timer <= deadline) {
+            return None;
+        }
+        self.timer = Some(deadline);
+        Some(deadline)
+    }
+
+    /// The keep-alive timer with sequence number `seq` fired. A deadline
+    /// is only recorded while idle and every transition bumps the epoch,
+    /// so a deadline of the current epoch means the instance is idle.
+    pub fn fire_keepalive(&mut self, seq: u64) -> KeepAliveFire {
+        if self.timer.is_none_or(|timer| timer.seq != seq) {
+            return KeepAliveFire::Ignored;
+        }
+        self.timer = None;
+        match self.deadline {
+            Some((deadline, epoch)) if epoch == self.epoch => {
+                debug_assert!(self.is_idle());
+                if deadline.seq == seq {
+                    self.state = InstanceState::Dead;
+                    self.epoch += 1;
+                    KeepAliveFire::Reaped
+                } else {
+                    self.timer = Some(deadline);
+                    KeepAliveFire::Rearm(deadline)
+                }
+            }
+            _ => KeepAliveFire::Ignored,
         }
     }
 }
@@ -205,18 +280,24 @@ mod tests {
         assert_eq!(inst.served(), 1);
     }
 
+    fn key(ms: f64, seq: u64) -> EventKey {
+        EventKey { at: MS(ms), seq }
+    }
+
     #[test]
     fn reap_only_when_epoch_matches() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
-        let epoch = inst.epoch();
+        assert_eq!(inst.arm_keepalive(key(110.0, 1)), Some(key(110.0, 1)));
         inst.assign(rid(1));
         inst.release(rid(1), MS(20.0));
-        // Reap scheduled while idle at `epoch` is stale now.
-        assert!(!inst.try_reap(epoch));
-        assert!(!inst.is_dead());
-        // Reap with the current epoch succeeds.
-        assert!(inst.try_reap(inst.epoch()));
+        // A later deadline waits behind the queued timer.
+        assert_eq!(inst.arm_keepalive(key(120.0, 2)), None);
+        // The first epoch's timer finds the instance idle in a later epoch
+        // and re-arms at that epoch's exact key.
+        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Rearm(key(120.0, 2)));
+        assert!(inst.is_idle());
+        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
         assert!(inst.is_dead());
     }
 
@@ -224,10 +305,49 @@ mod tests {
     fn reap_on_busy_is_ignored() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
-        let epoch = inst.epoch();
+        assert!(inst.arm_keepalive(key(110.0, 1)).is_some());
         inst.assign(rid(1));
-        assert!(!inst.try_reap(epoch));
+        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
         assert!(inst.is_busy());
+        // The dropped timer is no longer tracked: the next idle epoch
+        // queues a fresh one even though its deadline is later.
+        inst.release(rid(1), MS(50.0));
+        assert_eq!(inst.arm_keepalive(key(150.0, 2)), Some(key(150.0, 2)));
+    }
+
+    #[test]
+    fn earlier_deadline_supersedes_the_tracked_timer() {
+        let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
+        inst.boot_complete(MS(10.0));
+        assert!(inst.arm_keepalive(key(900.0, 1)).is_some());
+        inst.assign(rid(1));
+        inst.release(rid(1), MS(20.0));
+        // A shorter draw in a later epoch beats the queued timer.
+        assert_eq!(inst.arm_keepalive(key(400.0, 2)), Some(key(400.0, 2)));
+        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
+        // The superseded timer is ignored when it fires.
+        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
+    }
+
+    #[test]
+    fn one_epoch_keeps_its_earliest_deadline() {
+        let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
+        inst.boot_complete(MS(10.0));
+        assert!(inst.arm_keepalive(key(700.0, 1)).is_some());
+        assert_eq!(inst.arm_keepalive(key(300.0, 2)), Some(key(300.0, 2)));
+        assert_eq!(inst.arm_keepalive(key(500.0, 3)), None);
+        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
+    }
+
+    #[test]
+    fn purge_kills_only_idle_instances() {
+        let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
+        assert!(!inst.purge(), "booting instances survive a purge");
+        inst.boot_complete(MS(10.0));
+        assert!(inst.arm_keepalive(key(110.0, 1)).is_some());
+        assert!(inst.purge());
+        assert!(inst.is_dead());
+        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
     }
 
     #[test]

@@ -299,11 +299,20 @@ impl<E> CalendarQueue<E> {
                 self.len -= 1;
                 self.note_pop(key.at.as_nanos());
                 self.pops_since_rebuild += 1;
-                if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
+                if self.len < self.buckets.len() / 4
+                    && self.buckets.len() > MIN_BUCKETS
+                    && (self.capacity_hint > 0 || self.len == 0)
+                {
                     // Shrinking is proof the reserve() hint overstated the
                     // *concurrent* pending set (a streaming client submits
                     // its bulk load in slices); drop it so later growth
                     // rebuilds size the wheel to reality, not the hint.
+                    // Without a hint the wheel shrinks only once drained:
+                    // a sliced pending set rises and falls every slice,
+                    // and shrinking at each trough would rebuild twice per
+                    // slice. A wheel left too wide for a trough has its
+                    // width corrected by the MISS_LIMIT and overcrowding
+                    // rebuilds, which also resize it to the live count.
                     self.capacity_hint = 0;
                     self.rebuild(self.len);
                 } else {
@@ -717,6 +726,34 @@ mod tests {
         }
         while q.pop().is_some() {}
         assert!(q.stats().overcrowd_rebuilds > 0, "stats {:?}", q.stats());
+    }
+
+    #[test]
+    fn sawtooth_pending_set_does_not_rebuild_every_cycle() {
+        // A streaming run's pending set: each submission slice bulk-loads
+        // a few thousand events past everything already queued, and the
+        // slice drains them back to a small floor of long-lived timers.
+        // Rebuilding the wheel at every trough and again at every crest
+        // would make rebuilds O(slices); they must stay O(log n).
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut next_ns = 0u64;
+        let mut last = None;
+        for _ in 0..500 {
+            while q.len() < 2_000 {
+                q.schedule(SimTime::from_nanos(next_ns), seq, 0u32);
+                seq += 1;
+                next_ns += 1_000 + seq % 7 * 100;
+            }
+            while q.len() > 50 {
+                let (at, s, _) = q.pop().expect("non-empty");
+                assert!(Some((at, s)) > last, "order violated at seq {s}");
+                last = Some((at, s));
+            }
+        }
+        assert_eq!(drain(&mut q).len(), 50);
+        let rebuilds = q.stats().rebuilds;
+        assert!(rebuilds < 64, "rebuilds {rebuilds} not O(log n) over 500 slices");
     }
 
     #[test]

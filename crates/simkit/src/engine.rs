@@ -251,6 +251,8 @@ pub struct Scheduler<E> {
     queue: Backend<E>,
     seq: u64,
     now: SimTime,
+    /// Sequence number of the event being dispatched.
+    current_seq: u64,
     promotions: u64,
 }
 
@@ -271,7 +273,7 @@ impl<E> Scheduler<E> {
             QueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
             QueueKind::Adaptive => Backend::Adaptive(KeyedHeap::new()),
         };
-        Scheduler { queue, seq: 0, now: SimTime::ZERO, promotions: 0 }
+        Scheduler { queue, seq: 0, now: SimTime::ZERO, current_seq: 0, promotions: 0 }
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -316,6 +318,13 @@ impl<E> Scheduler<E> {
         if self.queue.push(EventKey { at, seq }, event) {
             self.promotions += 1;
         }
+    }
+
+    /// Sequence number of the event being dispatched: with the current
+    /// time it forms the `(time, seq)` key every pending event is ordered
+    /// after.
+    pub fn current_seq(&self) -> u64 {
+        self.current_seq
     }
 
     /// Lifetime self-correction counters of the calendar backend; `None`
@@ -506,6 +515,7 @@ impl<M: Model> Simulation<M> {
             Some((key, event)) => {
                 debug_assert!(key.at >= self.sched.now);
                 self.sched.now = key.at;
+                self.sched.current_seq = key.seq;
                 self.processed += 1;
                 self.model.handle(key.at, event, &mut self.sched);
                 true
@@ -544,6 +554,7 @@ impl<M: Model> Simulation<M> {
                     break;
                 }
                 self.sched.now = key.at;
+                self.sched.current_seq = key.seq;
                 self.processed += 1;
                 self.model.handle(key.at, event, &mut self.sched);
             }
@@ -575,6 +586,7 @@ impl<M: Model> Simulation<M> {
                 }
             }
             self.sched.now = key.at;
+            self.sched.current_seq = key.seq;
             self.processed += 1;
             let class = profiler.class_of(&event);
             self.model.handle(key.at, event, &mut self.sched);
@@ -715,6 +727,44 @@ mod tests {
             sim.run();
             let ids: Vec<u32> = sim.model().seen.iter().map(|&(_, id)| id).collect();
             assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "backend {kind:?}");
+        }
+    }
+
+    /// Handlers see the sequence number of the event being dispatched,
+    /// on every dispatch path (`step`, `run_until`, profiled runs).
+    #[test]
+    fn current_seq_is_the_dispatched_events_seq() {
+        /// An event that carries its own sequence number.
+        struct Stamped(u64);
+        impl EventClass for Stamped {
+            const CLASS_NAMES: &'static [&'static str] = &["any"];
+            fn class(&self) -> usize {
+                0
+            }
+        }
+        #[derive(Default)]
+        struct SeqRecorder(Vec<u64>);
+        impl Model for SeqRecorder {
+            type Event = Stamped;
+            fn handle(&mut self, _: SimTime, event: Stamped, sched: &mut Scheduler<Stamped>) {
+                assert_eq!(sched.current_seq(), event.0);
+                self.0.push(event.0);
+            }
+        }
+        for profiled in [false, true] {
+            let mut sim = Simulation::new(SeqRecorder::default());
+            if profiled {
+                sim.enable_event_profiling();
+            }
+            let mut block = sim.reserve_seq_block(3);
+            let (a, b, c) = (block.take(), block.take(), block.take());
+            // Scheduled out of seq order; dispatch is by (time, seq).
+            sim.schedule_at_with_seq(SimTime::from_millis(2.0), a, Stamped(a));
+            sim.schedule_at_with_seq(SimTime::from_millis(1.0), c, Stamped(c));
+            sim.schedule_at_with_seq(SimTime::from_millis(1.0), b, Stamped(b));
+            sim.run_until(SimTime::from_millis(1.0));
+            assert!(sim.step());
+            assert_eq!(sim.model().0, vec![b, c, a], "profiled {profiled}");
         }
     }
 

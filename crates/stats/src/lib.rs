@@ -9,8 +9,6 @@
 //!   CDF plots);
 //! * [`metrics`] — the paper's normalised factor metrics: TMR, MR and TR
 //!   (§V "Latency and Bandwidth Metrics" and Table I);
-//! * [`histogram`] — log-spaced histograms (deprecated shim over the
-//!   quantile sketch, kept for bin-count views);
 //! * [`ks`] — two-sample Kolmogorov–Smirnov distance, used by calibration
 //!   tests to compare simulated and target distributions;
 //! * [`bootstrap`] — bootstrap confidence intervals;
@@ -19,13 +17,8 @@
 //!   million-invocation runs never materialise their full latency vector;
 //! * [`table`] — plain-text table rendering for the benchmark harness.
 
-// No internal code may call the deprecated LogHistogram shim: new users
-// get the sketch, and the shim's own impl/tests opt back in locally.
-#![deny(deprecated)]
-
 pub mod bootstrap;
 pub mod cdf;
-pub mod histogram;
 pub mod ks;
 pub mod metrics;
 pub mod percentile;

@@ -314,10 +314,25 @@ impl QuantileSketch {
     /// Estimated number of recorded samples strictly below `x` (0 when
     /// empty). Exact below the threshold; within `n·ε` once sketching.
     ///
-    /// This is the primitive the deprecated
-    /// [`crate::histogram::LogHistogram`] shim derives bin counts from:
-    /// differences of cumulative ranks at the bin edges conserve total
-    /// mass by construction, which per-bin estimates would not.
+    /// Bin-count views derive from this: differences of cumulative ranks
+    /// at the bin edges conserve total mass by construction, which
+    /// per-bin estimates would not.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stats::QuantileSketch;
+    /// let mut s = QuantileSketch::new();
+    /// for v in [5.0, 50.0, 50.0, 500.0] {
+    ///     s.record(v);
+    /// }
+    /// // Strictly below: a sample sitting on the edge is not counted.
+    /// assert_eq!(s.rank_below(50.0), 1.0);
+    /// // Bin counts over [1, 10), [10, 100), [100, 1000) telescope.
+    /// let edges = [1.0, 10.0, 100.0, 1000.0];
+    /// let counts: Vec<f64> = edges.windows(2).map(|e| s.rank_below(e[1]) - s.rank_below(e[0])).collect();
+    /// assert_eq!(counts, [1.0, 2.0, 1.0]);
+    /// ```
     ///
     /// # Panics
     ///
@@ -793,8 +808,8 @@ mod tests {
     }
 
     // Edge-case contract: empty panics, a single sample and all-equal
-    // samples answer exactly, q = 0/1 pin min/max — never NaN. These are
-    // the cases the histogram retirement routes every figure through.
+    // samples answer exactly, q = 0/1 pin min/max — never NaN. Every
+    // figure's quantiles pass through these cases.
 
     #[test]
     #[should_panic(expected = "empty")]
@@ -883,6 +898,68 @@ mod tests {
         }
         assert_eq!(s.rank_below(1.0), 0.0);
         assert_eq!(s.rank_below(1.5), 3.0);
+    }
+
+    #[test]
+    fn rank_below_of_empty_sketch_is_zero() {
+        let s = QuantileSketch::new();
+        assert_eq!(s.rank_below(0.0), 0.0);
+        assert_eq!(s.rank_below(f64::INFINITY), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank of NaN")]
+    fn rank_below_of_nan_panics() {
+        let mut s = QuantileSketch::new();
+        s.record(1.0);
+        s.rank_below(f64::NAN);
+    }
+
+    #[test]
+    fn infinities_rank_at_the_ends() {
+        // An infinite sample lies outside every finite bin: -inf below the
+        // first edge, +inf at or above the last.
+        let mut s = QuantileSketch::new();
+        s.record(f64::NEG_INFINITY);
+        s.record(3.0);
+        s.record(f64::INFINITY);
+        assert_eq!(s.rank_below(f64::MIN), 1.0);
+        assert_eq!(s.rank_below(1.0), 1.0);
+        assert_eq!(s.rank_below(f64::MAX), 2.0);
+        assert_eq!(s.rank_below(f64::INFINITY), 2.0);
+    }
+
+    #[test]
+    fn rank_below_differences_conserve_mass_when_sketching() {
+        // Past the threshold the ranks are estimates, but bin counts taken
+        // as differences of cumulative ranks still telescope to every
+        // recorded sample.
+        let mut s = QuantileSketch::new();
+        for i in 0..50_000u64 {
+            s.record(0.5 + ((i * 2654435761) % 2_000) as f64);
+        }
+        assert!(s.is_sketching());
+        let edges: Vec<f64> = (0..=10).map(|i| 1000f64.powf(i as f64 / 10.0)).collect();
+        let binned: f64 = edges.windows(2).map(|e| s.rank_below(e[1]) - s.rank_below(e[0])).sum();
+        let underflow = s.rank_below(edges[0]);
+        let overflow = s.count() as f64 - s.rank_below(edges[10]);
+        assert!((binned + underflow + overflow - s.count() as f64).abs() < 1e-6);
+    }
+
+    #[test]
+    fn rank_below_respects_rank_error_when_sketching() {
+        let n = 50_000;
+        let mut s = QuantileSketch::new();
+        for i in 0..n {
+            s.record(i as f64);
+        }
+        assert!(s.is_sketching());
+        for x in [100.0, 5_000.0, 25_000.0, 49_000.0, 49_950.0] {
+            let est = s.rank_below(x);
+            let exact = x; // ladder: #samples < x
+            let eps = (s.rank_error_bound(exact / n as f64) * n as f64) + 3.0;
+            assert!((est - exact).abs() <= eps, "x={x}: est {est} vs exact {exact} (eps {eps})");
+        }
     }
 
     #[test]

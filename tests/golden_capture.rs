@@ -549,3 +549,91 @@ fn fan_out_apps_match_golden() {
     }
     assert!(drifted.is_empty(), "fan-out applications drifted:\n{}", drifted.join("\n"));
 }
+
+/// Sparse Poisson traffic on eight functions with a mean gap of 400 s —
+/// the scale of the uniform keep-alives of `google_like` (360–960 s) and
+/// `azure_like` (240–1020 s) — driven straight on the cloud and run to
+/// idle. At this rate a later idle epoch often draws an earlier deadline
+/// than the keep-alive check already queued for the instance, and a
+/// check often finds its instance idle again in a later epoch. Pins
+/// reaps, spawns, cold starts, storm counters, the telemetry sample
+/// count, the drained clock and the latency bits.
+fn keepalive_pin(
+    provider: faas_sim::ProviderConfig,
+    seed: u64,
+    storm: Option<faults::FaultSpec>,
+    timeline: bool,
+) -> String {
+    use faas_sim::spec::FunctionSpec;
+    use simkit::time::SimTime;
+
+    let mut cloud = faas_sim::cloud::CloudSim::new(provider, seed);
+    if let Some(spec) = storm {
+        cloud.install_faults(spec.build());
+    }
+    if timeline {
+        cloud.enable_timeline(SimTime::from_secs(60.0));
+    }
+    let mut gaps = simkit::rng::Rng::seed_from(seed);
+    for i in 0..8u64 {
+        let f = cloud.deploy(FunctionSpec::builder(format!("f{i}")).build()).unwrap();
+        let mut at_ms = 0.0;
+        for _ in 0..60 {
+            at_ms += -400_000.0 * gaps.next_f64_open().ln();
+            cloud.submit(f, i, SimTime::from_millis(at_ms));
+        }
+    }
+    cloud.run_to_idle();
+    let done = cloud.drain_completions();
+    let latency_ns: Vec<u64> =
+        done.iter().map(|c| (c.completed_at - c.issued_at).as_nanos()).collect();
+    let stats = cloud.stats();
+    let faults = cloud.fault_stats();
+    format!(
+        "completed={} cold={} spawns={} reaps={} storms={} purged={} samples={} end_ns={} lat_sum_ns={} lat_max_ns={}",
+        done.len(),
+        done.iter().filter(|c| c.cold).count(),
+        stats.spawns,
+        stats.reaps,
+        faults.storms,
+        faults.purged_instances,
+        cloud.timeline().len(),
+        cloud.now().as_nanos(),
+        latency_ns.iter().sum::<u64>(),
+        latency_ns.iter().max().copied().unwrap_or(0),
+    )
+}
+
+/// Keep-alive expiry pinned where deadlines interleave: uniform
+/// keep-alives at a request rate near their scale, with purge storms and
+/// with fleet telemetry (both reschedule only while the run still has
+/// work or a keep-alive deadline ahead). Storms and telemetry are never
+/// combined: each keeps the other's next tick pending, so such a run
+/// never drains. Captured while every idle transition still queued its
+/// own keep-alive check; any change to which check reaps an instance, or
+/// to how long the periodic ticks run, shows up here. Seeds 1 and 28 end
+/// with their latest deadline never queued as a check of its own (it
+/// lost to an earlier timer, which then found its instance busy or
+/// purged), so the ticks, and the clock of a run without ticks, outlive
+/// the queued events.
+#[test]
+fn keepalive_expiry_matches_golden() {
+    use providers::profiles::{azure_like, google_like};
+    let slow_storm = faults::FaultSpec::PurgeStorm { mean_gap_ms: 900_000.0, start_ms: 0.0 };
+    let cases = [
+        ("google~purge-storm@13", google_like(), 13, faults::FaultSpec::preset("purge-storm"), false, "completed=480 cold=460 spawns=460 reaps=460 storms=3187 purged=460 samples=0 end_ns=31106603079629 lat_sum_ns=410169564079 lat_max_ns=2354023590"),
+        ("azure+timeline@13", azure_like(), 13, None, true, "completed=480 cold=128 spawns=128 reaps=128 storms=0 purged=0 samples=4136 end_ns=31020000000000 lat_sum_ns=233811516783 lat_max_ns=4306249511"),
+        ("google~slow-storm@13", google_like(), 13, Some(slow_storm.clone()), false, "completed=480 cold=200 spawns=200 reaps=200 storms=34 purged=124 samples=0 end_ns=32493520623668 lat_sum_ns=181683053294 lat_max_ns=2162729078"),
+        ("google+timeline@1", google_like(), 1, None, true, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=3592 end_ns=26940000000000 lat_sum_ns=109605318914 lat_max_ns=1529999811"),
+        ("google@1", google_like(), 1, None, false, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=0 end_ns=26927179937483 lat_sum_ns=109605318914 lat_max_ns=1529999811"),
+        ("google~slow-storm@28", google_like(), 28, Some(slow_storm), false, "completed=480 cold=196 spawns=196 reaps=196 storms=34 purged=127 samples=0 end_ns=32224737147132 lat_sum_ns=180662656261 lat_max_ns=2310347108"),
+    ];
+    let mut drifted = Vec::new();
+    for (label, provider, seed, storm, timeline, golden) in cases {
+        let got = keepalive_pin(provider, seed, storm, timeline);
+        if got != golden {
+            drifted.push(format!("{label}: {got}"));
+        }
+    }
+    assert!(drifted.is_empty(), "keep-alive expiry drifted:\n{}", drifted.join("\n"));
+}

@@ -113,3 +113,41 @@ fn streaming_spec_run_is_identical_across_queue_backends() {
     assert_eq!(calendar, run(QueueKind::BinaryHeap));
     assert_eq!(calendar, run(QueueKind::Adaptive));
 }
+
+#[test]
+fn keepalive_checks_scale_with_instance_lifetimes_not_requests() {
+    // Each instance keeps at most one keep-alive timer queued, so the
+    // reap checks a run dispatches are bounded by its instances and how
+    // long they live, not by how many requests they served. At a 50 ms
+    // mean gap the run lasts several keep-alive periods, so checks queued
+    // early in the run come due inside it.
+    let total = TOTAL / 5;
+    for (provider, min_keepalive_s) in [(aws_like(), 600.0), (google_like(), 360.0)] {
+        let name = provider.name.clone();
+        let mut runtime = RuntimeConfig::single(IatSpec::short(), total);
+        runtime.warmup_rounds = 0;
+        let runtime = runtime.with_workload(WorkloadSpec {
+            arrival: ArrivalSpec::Exponential { mean_ms: 50.0 },
+            mode: ModeSpec::Open,
+        });
+        let outcome = Experiment::new(provider)
+            .workload(runtime)
+            .seed(29)
+            .measure(stellar_core::client::MeasureSpec::sketch())
+            .profile_events(true)
+            .run()
+            .unwrap();
+        let arrivals = outcome.metrics.counter(metric::PROFILE_COUNT[0]);
+        let reap_checks = outcome.metrics.counter(metric::PROFILE_COUNT[8]);
+        let spawns = outcome.metrics.counter(metric::INSTANCES_SPAWNED);
+        assert_eq!(metric::PROFILE_COUNT[8], "profile_count_reap_check");
+        assert_eq!(arrivals, u64::from(total), "{name}: every arrival is dispatched once");
+        let duration_s = outcome.result.duration.as_secs();
+        let bound = spawns as f64 * (duration_s / min_keepalive_s + 2.0);
+        assert!(
+            (reap_checks as f64) <= bound,
+            "{name}: {reap_checks} reap checks for {spawns} spawns over {duration_s:.0} s \
+             (bound {bound:.0}, {arrivals} arrivals)"
+        );
+    }
+}
