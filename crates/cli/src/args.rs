@@ -102,7 +102,8 @@ pub struct SweepOptions {
     /// Samples per cell when `--runtime` is omitted.
     pub samples: u32,
     /// Workload models to sweep as an extra grid axis: preset names or
-    /// workload-spec JSON paths. Empty = legacy IAT behaviour.
+    /// workload-spec JSON paths. Empty = no workload axis (cells run the
+    /// runtime config as given).
     pub workloads: Vec<String>,
     /// Tail-tolerance policies swept as an extra grid axis: preset
     /// names, policy-spec JSON paths, or `none` for the baseline. Empty

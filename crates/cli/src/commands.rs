@@ -257,8 +257,8 @@ fn run(opts: &RunOptions) -> Result<String, CliError> {
     let mut out = String::new();
     out.push_str(&format!("provider {provider_name}, seed {}: {}\n", opts.seed, outcome.summary));
     out.push_str(&format!("cold-start fraction: {:.1}%\n", outcome.result.cold_fraction() * 100.0));
-    // Workload-spec runs report the load they actually offered; legacy
-    // IAT runs print exactly the lines they always did.
+    // Every run reports the load it actually offered: an IAT-only config
+    // runs as its lifted open-loop spec, so it gets this line too.
     if let Some(offered) = &outcome.result.offered {
         out.push_str(&format!(
             "offered load: {} arrivals, {:.2}/s mean, IAT CV {:.2}, \
@@ -388,7 +388,7 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
         Some(path) => RuntimeConfig::from_json(&read(path)?).map_err(CliError::Config)?,
         None => RuntimeConfig::single(stellar_core::config::IatSpec::short(), opts.samples),
     };
-    let scenarios = opts
+    let mut scenarios = opts
         .providers
         .iter()
         .map(|name| {
@@ -402,21 +402,16 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
         })
         .collect::<Result<Vec<_>, CliError>>()?;
     let seeds: Vec<u64> = (opts.base_seed..opts.base_seed + opts.seeds).collect();
-    // The app axis crosses innermost, directly on the provider scenarios,
-    // so every other axis composes on top: labels read
+    // Each requested axis crosses the scenarios the previous ones
+    // produced, apps innermost, so labels read
     // "{provider}@{app}/{workload}+{policy}~{fault}".
     let apps = opts
         .apps
         .iter()
         .map(|name| Ok((app_axis_label(name), resolve_app(name)?)))
         .collect::<Result<Vec<_>, CliError>>()?;
-    let scenarios = if apps.is_empty() {
-        scenarios
-    } else {
-        let aaxis: Vec<(&str, Option<faas_sim::dag::DagSpec>)> =
-            apps.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-        SweepGrid::cross_apps(scenarios, &aaxis, seeds.clone()).scenarios
-    };
+    let aaxis: Vec<(&str, Option<faas_sim::dag::DagSpec>)> =
+        apps.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
     let workloads = opts
         .workloads
         .iter()
@@ -438,37 +433,19 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
         .collect::<Result<Vec<_>, CliError>>()?;
     let faxis: Vec<(&str, Option<faults::FaultSpec>)> =
         fault_specs.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-    let grid = match (waxis.is_empty(), paxis.is_empty()) {
-        (true, true) => SweepGrid::new(scenarios, seeds),
-        (false, true) => SweepGrid::cross_workloads(scenarios, &waxis, seeds),
-        (true, false) => SweepGrid::cross_policies(scenarios, &paxis, seeds),
-        (false, false) => {
-            // Workload axis first (matching cross_workloads labels), then
-            // the policy axis on top: "{provider}/{workload}+{policy}".
-            let crossed: Vec<Scenario> = scenarios
-                .into_iter()
-                .flat_map(|s| {
-                    waxis
-                        .iter()
-                        .map(|(name, spec)| {
-                            let mut cell = s.clone();
-                            cell.label = format!("{}/{name}", s.label);
-                            cell.runtime_cfg.workload = Some(spec.clone());
-                            cell
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            SweepGrid::cross_policies(crossed, &paxis, seeds)
-        }
-    };
-    // The fault axis crosses whatever grid the other axes produced:
-    // "{provider}[/{workload}][+{policy}]~{fault}".
-    let grid = if faxis.is_empty() {
-        grid
-    } else {
-        SweepGrid::cross_faults(grid.scenarios, &faxis, grid.seeds)
-    };
+    if !aaxis.is_empty() {
+        scenarios = SweepGrid::cross_apps(scenarios, &aaxis, seeds.clone()).scenarios;
+    }
+    if !waxis.is_empty() {
+        scenarios = SweepGrid::cross_workloads(scenarios, &waxis, seeds.clone()).scenarios;
+    }
+    if !paxis.is_empty() {
+        scenarios = SweepGrid::cross_policies(scenarios, &paxis, seeds.clone()).scenarios;
+    }
+    if !faxis.is_empty() {
+        scenarios = SweepGrid::cross_faults(scenarios, &faxis, seeds.clone()).scenarios;
+    }
+    let grid = SweepGrid::new(scenarios, seeds);
     let cells = grid.len();
     let measure = match opts.quantile_mode {
         QuantileMode::Exact => MeasureSpec::exact(),

@@ -106,10 +106,13 @@ pub struct RunResult {
     pub warmup_count: u64,
     /// Measured completions that waited on a cold start.
     pub cold_count: u64,
-    /// Wall-clock (simulated) duration of the whole run.
+    /// Simulated duration of the whole run: from its start to the slice
+    /// boundary at which the driver drained the last completion (so it
+    /// overshoots the last completion by up to one drain slice).
     pub duration: SimTime,
-    /// Realized offered-load summary. Populated by workload-spec runs
-    /// ([`run_workload_spec`]); `None` on IAT runs.
+    /// Realized offered-load summary of the arrivals the run submitted.
+    /// Every driver populates it, IAT runs included (they run as their
+    /// lifted spec).
     pub offered: Option<OfferedLoad>,
     /// Tail-tolerance policy accounting. Populated only when the run's
     /// [`RuntimeConfig`](crate::config::RuntimeConfig) carried a policy;
@@ -186,10 +189,11 @@ impl std::error::Error for ClientError {}
 /// Drives the workload described by `cfg` against `deployment` on
 /// `cloud`, starting at the cloud's current time.
 ///
-/// Rounds are issued at the configured IAT; each round sends
-/// `cfg.burst_size` simultaneous requests to one endpoint, cycling through
-/// endpoints round-robin (§IV/§V). The first `cfg.warmup_rounds` rounds
-/// are collected separately and excluded from statistics. Requests are
+/// Rounds arrive on `cfg.workload`'s process, or at the configured IAT
+/// when no workload is attached; each round sends `cfg.burst_size`
+/// simultaneous requests to one endpoint, cycling through endpoints
+/// round-robin (§IV/§V). The first `cfg.warmup_rounds` rounds are
+/// collected separately and excluded from statistics. Requests are
 /// tagged with their round number.
 ///
 /// # Errors
@@ -208,15 +212,14 @@ pub fn run_workload(
 
 /// [`run_workload`] with an explicit [`MeasureSpec`].
 ///
-/// The first round is issued at the start; gaps are drawn from a
-/// dedicated `fork("client-iat")` stream of `seed`. Rounds are submitted
-/// inside bounded time slices under a cloud submission window, and each
-/// slice's completions are drained into the run's aggregates (and, with
-/// `keep_samples`, its sample vectors). The window replays the draw order
-/// and event tie-breaking of submitting every round up front, so every
-/// completion is bit-identical to that schedule's. The measure mode
-/// changes only the quantile engine and whether vectors are retained —
-/// never the simulated run itself.
+/// Runs [`run_workload_spec`] on `cfg.workload`, or, when the config
+/// carries only an IAT, on that IAT lifted into the equivalent open-loop
+/// spec (`config::workload_from_iat`). An IAT is sugar for that spec, so
+/// it is driven exactly like one: the first round arrives one gap after
+/// the start, gaps are drawn from the `fork("workload-gaps")` stream of
+/// `seed`, a policy in `cfg` applies, and the result reports its offered
+/// load. The measure mode changes only the quantile engine and whether
+/// vectors are retained — never the simulated run itself.
 ///
 /// # Errors
 ///
@@ -232,78 +235,15 @@ pub fn run_workload_with(
     seed: u64,
     measure: &MeasureSpec,
 ) -> Result<RunResult, ClientError> {
-    cfg.validate().map_err(ClientError::InvalidConfig)?;
-    measure.validate().map_err(ClientError::InvalidConfig)?;
-    if cfg.policy.is_some() {
-        return Err(ClientError::InvalidConfig(
-            "policies run on the workload-spec driver; attach a workload (or let \
-             Experiment synthesize one from the IAT)"
-                .to_string(),
-        ));
-    }
-    if deployment.is_empty() {
-        return Err(ClientError::EmptyDeployment);
-    }
-    let arrival = workload_from_iat(&cfg.iat);
-    let mut process = arrival.build(seed);
-    let mut rng = Rng::seed_from(seed).fork("client-iat");
-    let start = cloud.now();
-    let total_rounds = cfg.warmup_rounds + cfg.measured_rounds();
-    let expected = (total_rounds * cfg.burst_size) as usize;
-    cloud.reserve_event_hint(expected);
-
-    // The gap sequence is pre-summed once from a clone of the client rng
-    // (O(1) memory) to fix the completion horizon and slice grid of the
-    // whole schedule; each slice then submits only the rounds that fall
-    // inside it.
-    let mut last_issue = start;
-    {
-        let mut gaps = arrival.build(seed);
-        let mut gap_rng = rng.clone();
-        let mut t = start;
-        for _ in 0..total_rounds {
-            last_issue = t;
-            t += SimTime::from_millis(gaps.next_gap_ms(&mut gap_rng));
+    let lifted;
+    let spec = match &cfg.workload {
+        Some(spec) => spec,
+        None => {
+            lifted = workload_from_iat(&cfg.iat);
+            &lifted
         }
-    }
-    // Generous completion horizon: bursts can queue for minutes on slow
-    // scale-out policies (Fig 9 observes ~39 s; chains and 1 GB transfers
-    // take tens of seconds too).
-    let mut horizon = last_issue + SimTime::from_secs(300.0);
-    // Slice width: ~256 slices across the nominal horizon, clamped to
-    // [1 s, 60 s] of simulated time. Slicing only bounds how many
-    // completions and pending submissions accumulate between drains; it
-    // does not change what the simulation computes.
-    let span = horizon.saturating_sub(start);
-    let slice = SimTime::from_nanos((span.as_nanos() / 256).clamp(1_000_000_000, 60_000_000_000));
-    cloud.open_submission_window(expected);
-    let mut collector = Collector::new(measure, u64::from(cfg.warmup_rounds));
-    let mut next_issue = start;
-    let mut round = 0u32;
-    'drive: for _ in 0..20 {
-        while cloud.now() < horizon {
-            let next = (cloud.now() + slice).min(horizon);
-            while round < total_rounds && next_issue <= next {
-                let endpoint = &deployment.endpoints[round as usize % deployment.len()];
-                for _ in 0..cfg.burst_size {
-                    cloud.submit(endpoint.function, u64::from(round), next_issue);
-                }
-                next_issue += SimTime::from_millis(process.next_gap_ms(&mut rng));
-                round += 1;
-            }
-            if round == total_rounds {
-                cloud.close_submission_window();
-            }
-            cloud.run_until(next);
-            collector.drain(cloud);
-            if collector.received >= expected {
-                break 'drive;
-            }
-        }
-        horizon += SimTime::from_secs(600.0);
-    }
-    cloud.close_submission_window();
-    collector.finish(expected, cloud.now() - start, None)
+    };
+    run_workload_spec(cloud, deployment, cfg, spec, seed, measure)
 }
 
 /// The run's measurement sink, shared by every driver: sorts each
@@ -431,22 +371,24 @@ impl Collector {
 
 /// Drives a [`WorkloadSpec`] against `deployment` on `cloud`.
 ///
-/// This is the workload-subsystem counterpart of [`run_workload`]: the
-/// arrival process comes from the spec rather than `cfg.iat`, and the
-/// spec's mode selects between open-loop (arrivals submitted on the
-/// process's schedule regardless of completions) and closed-loop (a fixed
-/// number of virtual users, each issuing its next request one think-time
-/// gap after its previous completion).
+/// The one client driver every run goes through ([`run_workload`] lifts
+/// an IAT-only config into a spec and calls it). The arrival process
+/// comes from `spec` rather than `cfg.iat`, and the spec's mode selects
+/// between open-loop (arrivals submitted on the process's schedule
+/// regardless of completions) and closed-loop (a fixed number of virtual
+/// users, each issuing its next request one think-time gap after its
+/// previous completion). A policy in `cfg` runs every logical request
+/// through its state machine in either mode.
 ///
-/// Shared semantics with the IAT driver: `cfg.warmup_rounds` initial
-/// arrivals are warm-up, `cfg.samples` arrivals are measured, requests are
-/// tagged with their arrival index, and the run starts at the cloud's
-/// current time. Differences: the first arrival happens one gap after the
-/// start (so trace replays land on their recorded timestamps), and
-/// endpoint routing follows the process's source index when the process is
-/// multi-source (e.g. [`workload::arrival::Superpose`]) and round-robin
-/// otherwise. In open-loop mode each arrival issues `cfg.burst_size`
-/// simultaneous requests; closed-loop mode requires `burst_size == 1`.
+/// `cfg.warmup_rounds` initial arrivals are warm-up, `cfg.samples`
+/// arrivals are measured, requests are tagged with their arrival index,
+/// and the run starts at the cloud's current time. The first open-loop
+/// arrival happens one gap after the start (so trace replays land on
+/// their recorded timestamps), and endpoint routing follows the process's
+/// source index when the process is multi-source (e.g.
+/// [`workload::arrival::Superpose`]) and round-robin otherwise. In
+/// open-loop mode each arrival issues `cfg.burst_size` simultaneous
+/// requests; closed-loop mode requires `burst_size == 1`.
 ///
 /// Arrivals are generated and submitted inside bounded time slices under a
 /// submission window, so pending state stays O(slice + active requests)
@@ -567,9 +509,10 @@ fn open_loop(
     cloud.close_submission_window();
     let expected = (issued * burst) as usize;
 
-    // Drain the tail exactly like the IAT driver: a generous horizon
-    // with bounded extensions, advancing in slices so completion buffers
-    // stay small.
+    // Drain the tail: a generous horizon with bounded extensions (bursts
+    // can queue for minutes on slow scale-out policies, chains and 1 GB
+    // transfers take tens of seconds), advancing in slices so completion
+    // buffers stay small.
     let mut horizon = last_issue + SimTime::from_secs(300.0);
     'drive: for _ in 0..20 {
         while cloud.now() < horizon {

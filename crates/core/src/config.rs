@@ -193,8 +193,9 @@ impl IatSpec {
 }
 
 /// Lifts an [`IatSpec`] into the equivalent open-loop workload model:
-/// the one gap formula per distribution that both the IAT driver and a
-/// policy run without an explicit workload draw from.
+/// the spec every IAT-only run is driven as (by
+/// [`run_workload_with`](crate::client::run_workload_with)), so an IAT
+/// config and its lifted spec produce the same run.
 pub(crate) fn workload_from_iat(iat: &IatSpec) -> WorkloadSpec {
     use workload::spec::{ArrivalSpec, ModeSpec};
     let arrival = match *iat {
@@ -236,7 +237,10 @@ impl ChainConfig {
 /// The client's runtime configuration (§IV).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
-    /// Inter-arrival time between invocation rounds.
+    /// Inter-arrival time between invocation rounds. Shorthand for an
+    /// open-loop `workload` with the same gap distribution: an IAT-only
+    /// config runs as that lifted spec, whose first round arrives one gap
+    /// after the start. Ignored when `workload` is present.
     pub iat: IatSpec,
     /// Requests issued simultaneously per round (burst size; 1 = single
     /// invocations).
@@ -255,9 +259,8 @@ pub struct RuntimeConfig {
     #[serde(default)]
     pub chain: Option<ChainConfig>,
     /// Optional workload model. When present it supersedes `iat`: the
-    /// client runs the spec's arrival process (and open/closed-loop mode)
-    /// instead of the legacy fixed-IAT rounds. Absent in legacy configs,
-    /// which therefore behave exactly as before.
+    /// client runs the spec's arrival process (and open/closed-loop mode).
+    /// When absent the client runs `iat` lifted into an open-loop spec.
     #[serde(default)]
     pub workload: Option<WorkloadSpec>,
     /// Optional tail-tolerance policy. When present every logical request

@@ -12,8 +12,8 @@ use simkit::metrics::Metrics;
 use simkit::trace::SpanRecord;
 use stats::Summary;
 
-use crate::client::{run_workload_spec, run_workload_with, ClientError, MeasureSpec, RunResult};
-use crate::config::{workload_from_iat, RuntimeConfig, StaticConfig};
+use crate::client::{run_workload_with, ClientError, MeasureSpec, RunResult};
+use crate::config::{RuntimeConfig, StaticConfig};
 use crate::deployer::{deploy, Deployment, Endpoint};
 
 /// Errors from running an experiment.
@@ -290,37 +290,13 @@ impl Experiment {
         if let Some(spec) = &self.runtime_cfg.faults {
             cloud.install_faults(spec.build());
         }
-        let mut result = match &self.runtime_cfg.workload {
-            Some(spec) => run_workload_spec(
-                &mut cloud,
-                &deployment,
-                &self.runtime_cfg,
-                spec,
-                self.seed,
-                &self.measure,
-            )?,
-            // A policy without an explicit workload model runs on the
-            // spec driver too: the legacy IAT is lifted into an
-            // equivalent open-loop arrival process.
-            None if self.runtime_cfg.policy.is_some() => {
-                let spec = workload_from_iat(&self.runtime_cfg.iat);
-                run_workload_spec(
-                    &mut cloud,
-                    &deployment,
-                    &self.runtime_cfg,
-                    &spec,
-                    self.seed,
-                    &self.measure,
-                )?
-            }
-            None => run_workload_with(
-                &mut cloud,
-                &deployment,
-                &self.runtime_cfg,
-                self.seed,
-                &self.measure,
-            )?,
-        };
+        let mut result = run_workload_with(
+            &mut cloud,
+            &deployment,
+            &self.runtime_cfg,
+            self.seed,
+            &self.measure,
+        )?;
         // Both modes summarise through the same aggregate: in exact mode
         // the aggregate's buffer holds every sample and `summary()`
         // delegates to the sorted exact path, so the output is
@@ -525,6 +501,28 @@ mod tests {
         assert!(outcome.result.offered.is_some(), "lifted IAT runs on the spec driver");
         let stats = outcome.result.policy.expect("policy stats surface through Outcome");
         assert_eq!(stats.extra_launches, 42, "300 ms execution hedges every request");
+    }
+
+    #[test]
+    fn policy_arms_of_an_iat_config_share_one_arrival_train() {
+        let mut runtime = RuntimeConfig::single(IatSpec::Exponential { mean_ms: 400.0 }, 40);
+        runtime.warmup_rounds = 2;
+        let offered = |runtime: RuntimeConfig| {
+            let outcome = Experiment::new(test_provider()).workload(runtime).seed(8).run().unwrap();
+            outcome.result.offered.expect("every open-loop run reports offered load")
+        };
+        let plain = offered(runtime.clone());
+        let hedged = offered(runtime.with_policy(policy::PolicySpec::preset("hedge-p95").unwrap()));
+        assert_eq!(plain.arrivals, hedged.arrivals);
+        for (a, b) in [
+            (plain.mean_rate_per_s, hedged.mean_rate_per_s),
+            (plain.iat_cv, hedged.iat_cv),
+            (plain.peak_to_mean, hedged.peak_to_mean),
+            (plain.fano, hedged.fano),
+            (plain.window_ms, hedged.window_ms),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{plain:?} vs {hedged:?}");
+        }
     }
 
     #[test]

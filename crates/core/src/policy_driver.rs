@@ -522,7 +522,7 @@ mod tests {
     use policy::spec::ThresholdSpec;
     use workload::spec::WorkloadSpec;
 
-    use crate::client::{run_workload, run_workload_spec, ClientError, MeasureSpec};
+    use crate::client::{run_workload, run_workload_spec, MeasureSpec};
     use crate::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
     use crate::deployer::{deploy, Deployment};
     use faas_sim::cloud::CloudSim;
@@ -542,12 +542,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_driver_rejects_policies() {
+    fn iat_config_with_a_policy_runs_the_policy() {
         let cfg = RuntimeConfig::single(IatSpec::short(), 10)
             .with_policy(PolicySpec::preset("hedge-200ms").unwrap());
         let (mut cloud, d) = setup(&cfg);
-        let err = run_workload(&mut cloud, &d, &cfg, 1).unwrap_err();
-        assert!(matches!(err, ClientError::InvalidConfig(_)), "got {err:?}");
+        let result = run_workload(&mut cloud, &d, &cfg, 1).unwrap();
+        let stats = result.policy.expect("an IAT run with a policy reports policy stats");
+        assert_eq!(stats.logical, 10);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Scenario {
 
     /// Attaches a workload model to the scenario's runtime configuration
     /// (consuming): the cell runs `spec`'s arrival process and loop mode
-    /// instead of the legacy fixed-IAT rounds.
+    /// instead of the configured IAT.
     pub fn arrival(mut self, spec: workload::WorkloadSpec) -> Scenario {
         self.runtime_cfg.workload = Some(spec);
         self
@@ -166,19 +166,9 @@ impl SweepGrid {
         workloads: &[(&str, workload::WorkloadSpec)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
-        assert!(!workloads.is_empty(), "sweep grid needs at least one workload");
-        let crossed = scenarios
-            .into_iter()
-            .flat_map(|s| {
-                workloads.iter().map(move |(name, spec)| {
-                    let mut cell = s.clone();
-                    cell.label = format!("{}/{name}", s.label);
-                    cell.runtime_cfg.workload = Some(spec.clone());
-                    cell
-                })
-            })
-            .collect();
-        SweepGrid::new(crossed, seeds)
+        cross(scenarios, workloads, '/', "workload", seeds, |c, spec| {
+            c.runtime_cfg.workload = Some(spec)
+        })
     }
 
     /// Builds a grid with the application workflow as an explicit sweep
@@ -195,19 +185,7 @@ impl SweepGrid {
         apps: &[(&str, Option<faas_sim::dag::DagSpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
-        assert!(!apps.is_empty(), "sweep grid needs at least one app");
-        let crossed = scenarios
-            .into_iter()
-            .flat_map(|s| {
-                apps.iter().map(move |(name, spec)| {
-                    let mut cell = s.clone();
-                    cell.label = format!("{}@{name}", s.label);
-                    cell.dag = spec.clone();
-                    cell
-                })
-            })
-            .collect();
-        SweepGrid::new(crossed, seeds)
+        cross(scenarios, apps, '@', "app", seeds, |c, spec| c.dag = spec)
     }
 
     /// Builds a grid with the tail-tolerance policy as an explicit sweep
@@ -224,19 +202,7 @@ impl SweepGrid {
         policies: &[(&str, Option<policy::PolicySpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
-        assert!(!policies.is_empty(), "sweep grid needs at least one policy");
-        let crossed = scenarios
-            .into_iter()
-            .flat_map(|s| {
-                policies.iter().map(move |(name, spec)| {
-                    let mut cell = s.clone();
-                    cell.label = format!("{}+{name}", s.label);
-                    cell.runtime_cfg.policy = spec.clone();
-                    cell
-                })
-            })
-            .collect();
-        SweepGrid::new(crossed, seeds)
+        cross(scenarios, policies, '+', "policy", seeds, |c, spec| c.runtime_cfg.policy = spec)
     }
 
     /// Builds a grid with the fault schedule as an explicit sweep axis:
@@ -253,20 +219,34 @@ impl SweepGrid {
         faults: &[(&str, Option<faults::FaultSpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
-        assert!(!faults.is_empty(), "sweep grid needs at least one fault schedule");
-        let crossed = scenarios
-            .into_iter()
-            .flat_map(|s| {
-                faults.iter().map(move |(name, spec)| {
-                    let mut cell = s.clone();
-                    cell.label = format!("{}~{name}", s.label);
-                    cell.runtime_cfg.faults = spec.clone();
-                    cell
-                })
-            })
-            .collect();
-        SweepGrid::new(crossed, seeds)
+        cross(scenarios, faults, '~', "fault schedule", seeds, |c, spec| {
+            c.runtime_cfg.faults = spec
+        })
     }
+}
+
+/// Crosses every scenario with every named value of one axis,
+/// scenario-major: each cell is labelled `"{scenario}{sep}{name}"` and
+/// gets its value through `set`.
+fn cross<T: Clone>(
+    scenarios: Vec<Scenario>,
+    axis: &[(&str, T)],
+    sep: char,
+    what: &str,
+    seeds: Vec<u64>,
+    set: impl Fn(&mut Scenario, T),
+) -> SweepGrid {
+    assert!(!axis.is_empty(), "sweep grid needs at least one {what}");
+    let mut crossed = Vec::with_capacity(scenarios.len() * axis.len());
+    for s in &scenarios {
+        for (name, value) in axis {
+            let mut cell = s.clone();
+            cell.label = format!("{}{sep}{name}", s.label);
+            set(&mut cell, value.clone());
+            crossed.push(cell);
+        }
+    }
+    SweepGrid::new(crossed, seeds)
 }
 
 /// Tail-tolerance outcomes a policy-driven cell adds to its row.
@@ -392,35 +372,7 @@ impl SweepReport {
     /// output depends only on the grid (not on worker count), so it is
     /// byte-identical across thread configurations.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,error\n",
-        );
-        for row in &self.rows {
-            match &row.result {
-                Ok(s) => out.push_str(&format!(
-                    "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},\n",
-                    row.index,
-                    csv_field(&row.scenario),
-                    row.seed,
-                    s.count,
-                    s.median_ms,
-                    s.p95_ms,
-                    s.p99_ms,
-                    s.tmr,
-                    s.cold_fraction,
-                )),
-                Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error,,,,,,,{}\n",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        csv_field(msg)
-                    ));
-                }
-            }
-        }
-        out
+        self.csv(Columns::Base)
     }
 
     /// [`SweepReport::to_csv`] plus the policy columns (p99.9, hedge
@@ -430,60 +382,7 @@ impl SweepReport {
     /// The base CSV is kept separate so existing pipelines keep parsing
     /// byte-identical output.
     pub fn to_csv_extended(&self) -> String {
-        let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,\
-             p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,goodput,\
-             error\n",
-        );
-        for row in &self.rows {
-            match &row.result {
-                Ok(s) => {
-                    out.push_str(&format!(
-                        "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        s.count,
-                        s.median_ms,
-                        s.p95_ms,
-                        s.p99_ms,
-                        s.tmr,
-                        s.cold_fraction,
-                    ));
-                    match &s.policy {
-                        Some(p) => out.push_str(&format!(
-                            "{:.3},{:.4},{:.4},{},{},",
-                            p.p999_ms,
-                            p.hedge_rate,
-                            p.wasted_fraction,
-                            p.duplicate_successes,
-                            p.abandoned,
-                        )),
-                        None => out.push_str(",,,,,"),
-                    }
-                    match s.retry_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
-                    }
-                    match s.goodput {
-                        Some(g) => out.push_str(&format!("{g:.4},")),
-                        None => out.push(','),
-                    }
-                    out.push('\n');
-                }
-                Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error{},{}\n",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        ",".repeat(13),
-                        csv_field(msg)
-                    ));
-                }
-            }
-        }
-        out
+        self.csv(Columns::Extended)
     }
 
     /// [`SweepReport::to_csv_extended`] plus the application column
@@ -491,65 +390,81 @@ impl SweepReport {
     /// without a workflow leave it empty. Kept separate so the extended
     /// layout stays frozen for existing pipelines.
     pub fn to_csv_app(&self) -> String {
+        self.csv(Columns::App)
+    }
+
+    /// The one CSV writer: the base columns, then each column group up to
+    /// `columns`, then `error`. An empty optional value leaves its field
+    /// empty; an error row leaves every statistics field empty.
+    fn csv(&self, columns: Columns) -> String {
         let mut out = String::from(
-            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,\
-             p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,goodput,\
-             join_amp,error\n",
+            "cell,scenario,seed,status,samples,median_ms,p95_ms,p99_ms,tmr,cold_fraction,",
         );
+        if columns >= Columns::Extended {
+            out.push_str(
+                "p999_ms,hedge_rate,wasted_fraction,duplicate_successes,abandoned,retry_amp,\
+                 goodput,",
+            );
+        }
+        if columns >= Columns::App {
+            out.push_str("join_amp,");
+        }
+        out.push_str("error\n");
+        let optional = |out: &mut String, value: Option<String>| {
+            out.push_str(value.as_deref().unwrap_or(""));
+            out.push(',');
+        };
         for row in &self.rows {
-            match &row.result {
-                Ok(s) => {
-                    out.push_str(&format!(
-                        "{},{},{},ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        s.count,
-                        s.median_ms,
-                        s.p95_ms,
-                        s.p99_ms,
-                        s.tmr,
-                        s.cold_fraction,
-                    ));
-                    match &s.policy {
-                        Some(p) => out.push_str(&format!(
-                            "{:.3},{:.4},{:.4},{},{},",
-                            p.p999_ms,
-                            p.hedge_rate,
-                            p.wasted_fraction,
-                            p.duplicate_successes,
-                            p.abandoned,
-                        )),
-                        None => out.push_str(",,,,,"),
-                    }
-                    match s.retry_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
-                    }
-                    match s.goodput {
-                        Some(g) => out.push_str(&format!("{g:.4},")),
-                        None => out.push(','),
-                    }
-                    match s.join_amp {
-                        Some(amp) => out.push_str(&format!("{amp:.3},")),
-                        None => out.push(','),
-                    }
-                    out.push('\n');
-                }
+            out.push_str(&format!("{},{},{},", row.index, csv_field(&row.scenario), row.seed));
+            let s = match &row.result {
+                Ok(s) => s,
                 Err(msg) => {
-                    out.push_str(&format!(
-                        "{},{},{},error{},{}\n",
-                        row.index,
-                        csv_field(&row.scenario),
-                        row.seed,
-                        ",".repeat(14),
-                        csv_field(msg)
-                    ));
+                    let empty = match columns {
+                        Columns::Base => 6,
+                        Columns::Extended => 13,
+                        Columns::App => 14,
+                    };
+                    out.push_str(&format!("error{},{}\n", ",".repeat(empty), csv_field(msg)));
+                    continue;
                 }
+            };
+            out.push_str(&format!(
+                "ok,{},{:.3},{:.3},{:.3},{:.3},{:.4},",
+                s.count, s.median_ms, s.p95_ms, s.p99_ms, s.tmr, s.cold_fraction,
+            ));
+            if columns >= Columns::Extended {
+                match &s.policy {
+                    Some(p) => out.push_str(&format!(
+                        "{:.3},{:.4},{:.4},{},{},",
+                        p.p999_ms,
+                        p.hedge_rate,
+                        p.wasted_fraction,
+                        p.duplicate_successes,
+                        p.abandoned,
+                    )),
+                    None => out.push_str(",,,,,"),
+                }
+                optional(&mut out, s.retry_amp.map(|amp| format!("{amp:.3}")));
+                optional(&mut out, s.goodput.map(|g| format!("{g:.4}")));
             }
+            if columns >= Columns::App {
+                optional(&mut out, s.join_amp.map(|amp| format!("{amp:.3}")));
+            }
+            out.push('\n');
         }
         out
     }
+}
+
+/// Column groups of a sweep CSV, each a superset of the one before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Columns {
+    /// Counts, latency quantiles, tail-to-median ratio, cold fraction.
+    Base,
+    /// Plus the policy and robustness columns.
+    Extended,
+    /// Plus the application column.
+    App,
 }
 
 /// RFC 4180 field escaping: fields containing a comma, double quote or

@@ -566,6 +566,9 @@ pub struct Cloud {
     record_roots: bool,
     /// Latest keep-alive deadline ever drawn (see [`Cloud::run_active`]).
     last_deadline: Option<EventKey>,
+    /// Periodic ticks (telemetry, purge storms) in the event queue, which
+    /// [`Cloud::run_active`] does not count as work.
+    ticks_queued: usize,
 }
 
 impl Cloud {
@@ -597,6 +600,7 @@ impl Cloud {
             record_internal: false,
             record_roots: false,
             last_deadline: None,
+            ticks_queued: 0,
             cfg,
             functions: Vec::new(),
             requests: RequestArena::default(),
@@ -940,6 +944,7 @@ impl Cloud {
     /// reschedule with an exponential gap — only while the run is active
     /// (see [`Cloud::run_active`]), so runs still drain to idle.
     fn on_fault_storm(&mut self, now: SimTime, sched: &mut Scheduler<CloudEvent>) {
+        self.ticks_queued -= 1;
         let Some(plan) = self.fault_plan.take() else { return };
         let Some(storm) = plan.storm else {
             self.fault_plan = Some(plan);
@@ -962,6 +967,7 @@ impl Cloud {
         if self.run_active(now, sched) {
             let gap_ms = -storm.mean_gap_ms * self.rng_faults.next_f64_open().ln();
             sched.schedule_in(now, SimTime::from_millis(gap_ms), CloudEvent::FaultStorm);
+            self.ticks_queued += 1;
         }
         self.fault_plan = Some(plan);
     }
@@ -2028,18 +2034,22 @@ impl Cloud {
     }
 
     /// Whether the run still has work after the event being dispatched:
-    /// a pending event, or a keep-alive deadline not yet reached. Periodic
-    /// ticks (telemetry, purge storms) reschedule only while this holds.
-    /// Every deadline drawn counts until it passes, queued or not, so how
-    /// long the ticks run does not depend on which deadlines got a timer.
+    /// a pending event other than a periodic tick, or a keep-alive
+    /// deadline not yet reached. Periodic ticks (telemetry, purge storms)
+    /// reschedule only while this holds, so a storm and a telemetry tick
+    /// never keep each other alive. Every deadline drawn counts until it
+    /// passes, queued or not, so how long the ticks run does not depend
+    /// on which deadlines got a timer.
     fn run_active(&self, now: SimTime, sched: &Scheduler<CloudEvent>) -> bool {
         let current = EventKey { at: now, seq: sched.current_seq() };
-        !sched.is_empty() || self.last_deadline.is_some_and(|deadline| deadline > current)
+        sched.len() > self.ticks_queued
+            || self.last_deadline.is_some_and(|deadline| deadline > current)
     }
 }
 
 impl Cloud {
     fn on_telemetry_tick(&mut self, now: SimTime, sched: &mut Scheduler<CloudEvent>) {
+        self.ticks_queued -= 1;
         let Some(recorder) = &mut self.timeline else { return };
         for (i, state) in self.functions.iter().enumerate() {
             let queued = state.queue.len() as u32 + state.committed_total;
@@ -2070,6 +2080,7 @@ impl Cloud {
         let interval = recorder.interval;
         if self.run_active(now, sched) {
             sched.schedule_in(now, interval, CloudEvent::TelemetryTick);
+            self.ticks_queued += 1;
         }
     }
 }
@@ -2567,6 +2578,7 @@ impl CloudSim {
                 SimTime::from_millis(s.start_ms + gap_ms)
             });
             cloud.fault_plan = Some(plan);
+            cloud.ticks_queued += usize::from(at.is_some());
             at
         };
         if let Some(at) = first_storm {
@@ -2602,7 +2614,9 @@ impl CloudSim {
     pub fn enable_timeline(&mut self, interval: SimTime) {
         assert!(!interval.is_zero(), "telemetry interval must be positive");
         let start = self.sim.now() + interval;
-        self.sim.model_mut().timeline = Some(TimelineRecorder { interval, samples: Vec::new() });
+        let cloud = self.sim.model_mut();
+        cloud.timeline = Some(TimelineRecorder { interval, samples: Vec::new() });
+        cloud.ticks_queued += 1;
         self.sim.schedule_at(start, CloudEvent::TelemetryTick);
     }
 

@@ -1,12 +1,9 @@
 //! Golden regression pins for the streaming client path.
 //!
-//! The bit-exact constants below were captured from the pre-refactor
-//! streaming path (submit everything up front, then drain in slices).
-//! The current path interleaves just-in-time submission with simulation
-//! under a submission window; these tests pin that the refactor — and any
-//! future change to the client, cloud, or engine — reproduces the legacy
-//! output exactly: same counts, same simulated duration, same latency
-//! aggregate bits.
+//! The bit-exact constants below pin the client's one open-loop driver
+//! (just-in-time submission under a submission window, drained in
+//! slices), the cloud and the engine: any change to them shows up as
+//! moved counts, simulated duration or latency aggregate bits.
 
 use stellar_core::client::{run_workload_spec, run_workload_with, MeasureSpec};
 use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
@@ -31,6 +28,12 @@ struct Golden {
 const CLOUD_SEED: u64 = 7;
 const CLIENT_SEED: u64 = 9;
 
+/// IAT-only configs run as their lifted open-loop spec. The counts and
+/// latency bits of the fixed IATs were captured from the pre-refactor
+/// path (submit everything up front, then drain in slices) and survive
+/// the lift, which only shifts a fixed schedule by one gap; their
+/// durations, and every field of the exponential IAT (whose gaps now
+/// come from the spec driver's stream), pin the lifted path.
 #[test]
 fn streaming_path_matches_pre_refactor_golden() {
     let goldens = [
@@ -43,7 +46,7 @@ fn streaming_path_matches_pre_refactor_golden() {
             measured: 500,
             warmup_count: 20,
             cold: 0,
-            dur_ns: 130_939_453_086,
+            dur_ns: 140_000_000_000,
             mean_bits: 0x4044_4000_0000_0000,
             p50_bits: 0x4044_4000_0000_0000,
             p99_bits: 0x4044_4000_0000_0000,
@@ -57,7 +60,7 @@ fn streaming_path_matches_pre_refactor_golden() {
             measured: 300,
             warmup_count: 100,
             cold: 0,
-            dur_ns: 78_257_812_500,
+            dur_ns: 90_000_000_000,
             mean_bits: 0x4045_6000_0000_0000,
             p50_bits: 0x4045_6000_0000_0000,
             p99_bits: 0x4046_8000_0000_0000,
@@ -71,10 +74,10 @@ fn streaming_path_matches_pre_refactor_golden() {
             measured: 400,
             warmup_count: 10,
             cold: 0,
-            dur_ns: 19_989_191_616,
-            mean_bits: 0x4044_4098_8df0_c3f8,
+            dur_ns: 30_229_450_115,
+            mean_bits: 0x4044_4083_1634_f5ab,
             p50_bits: 0x4044_4000_0000_0000,
-            p99_bits: 0x4044_5edd_c126_5077,
+            p99_bits: 0x4044_50a7_7c86_3869,
         },
     ];
     for g in goldens {
@@ -113,6 +116,45 @@ fn digest(r: &stellar_core::client::RunResult) -> String {
         agg.quantile(0.5).to_bits(),
         agg.quantile(0.99).to_bits(),
     )
+}
+
+/// An IAT is sugar for the open-loop spec with the same gap
+/// distribution: `run_workload_with` on an IAT-only config and
+/// `run_workload_spec` on the lifted spec are one run, down to the
+/// duration, for every IAT kind, single and burst rounds alike.
+#[test]
+fn iat_config_runs_as_its_lifted_spec() {
+    use workload::spec::{ArrivalSpec, ModeSpec};
+    let iats = [
+        (IatSpec::Fixed { ms: 250.0 }, ArrivalSpec::Fixed { ms: 250.0 }),
+        (IatSpec::Exponential { mean_ms: 50.0 }, ArrivalSpec::Exponential { mean_ms: 50.0 }),
+        (
+            IatSpec::Uniform { lo_ms: 20.0, hi_ms: 120.0 },
+            ArrivalSpec::Uniform { lo_ms: 20.0, hi_ms: 120.0 },
+        ),
+    ];
+    for (iat, arrival) in iats {
+        for burst in [1, 10] {
+            let mut cfg = RuntimeConfig::single(iat.clone(), 300);
+            cfg.warmup_rounds = 10;
+            cfg.burst_size = burst;
+            let spec = WorkloadSpec { arrival: arrival.clone(), mode: ModeSpec::Open };
+            let run = |lifted: bool| {
+                let static_cfg = StaticConfig { functions: vec![StaticFunction::python_zip("f")] };
+                let mut cloud =
+                    faas_sim::cloud::CloudSim::new(faas_sim::testutil::test_provider(), CLOUD_SEED);
+                let d = deploy(&mut cloud, &static_cfg, &cfg).unwrap();
+                let measure = MeasureSpec::sketch();
+                let r = if lifted {
+                    run_workload_spec(&mut cloud, &d, &cfg, &spec, CLIENT_SEED, &measure)
+                } else {
+                    run_workload_with(&mut cloud, &d, &cfg, CLIENT_SEED, &measure)
+                };
+                digest(&r.unwrap())
+            };
+            assert_eq!(run(false), run(true), "{iat:?} at burst {burst}");
+        }
+    }
 }
 
 /// The workload-spec driver with *no policy configured* must stay
@@ -341,8 +383,7 @@ const CHAIN_TRACE_CAPACITY: usize = 1 << 18;
 
 /// A legacy `ChainConfig` run: `length` functions passing a 64 KiB
 /// payload over `mode`, with an optional client policy and fault preset.
-/// A policy runs on the workload-spec driver, so those runs carry an
-/// explicit Poisson workload.
+/// The policy runs carry an explicit Poisson workload.
 fn chain_runtime(
     length: u32,
     mode: faas_sim::types::TransferMode,
@@ -426,14 +467,9 @@ fn chain_pin(runtime: &RuntimeConfig, app: Option<faas_sim::dag::DagSpec>) -> St
     if let Some(spec) = &runtime.faults {
         cloud.install_faults(spec.build());
     }
-    let measure = MeasureSpec::default();
-    let r = match &runtime.workload {
-        Some(spec) => {
-            run_workload_spec(&mut cloud, &deployment, runtime, spec, CHAIN_SEED, &measure)
-        }
-        None => run_workload_with(&mut cloud, &deployment, runtime, CHAIN_SEED, &measure),
-    }
-    .unwrap();
+    let r =
+        run_workload_with(&mut cloud, &deployment, runtime, CHAIN_SEED, &MeasureSpec::default())
+            .unwrap();
 
     let mut experiment = Experiment::new(provider)
         .workload(runtime.clone())
@@ -469,27 +505,31 @@ fn chain_pin(runtime: &RuntimeConfig, app: Option<faas_sim::dag::DagSpec>) -> St
 /// storms, plus the linear `web-api` application.
 /// Captured before chains moved onto the workflow engine's fork path;
 /// any change to a chain's draws, events or span order shows up here.
+/// The IAT-only pins' durations and traces were re-captured when IAT
+/// configs began running as their lifted spec (every arrival one gap
+/// later), and the purge-storm pins in full: the storm clock starts at
+/// zero, so the shifted arrivals meet different storms.
 #[test]
 fn chain_runs_match_golden() {
     use faas_sim::types::TransferMode::{Inline, Storage};
     let cases: [(&str, RuntimeConfig, Option<faas_sim::dag::DagSpec>, &str); 17] = [
-        ("inline-2", chain_runtime(2, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=1e44d4fd412b72bf"),
-        ("inline-4", chain_runtime(4, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=fccb672a841ffaf3"),
-        ("storage-2", chain_runtime(2, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=3a2a4ddd9e50a730"),
-        ("storage-4", chain_runtime(4, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=eae4d1b60015f3e4"),
+        ("inline-2", chain_runtime(2, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=af92d19f93364479"),
+        ("inline-4", chain_runtime(4, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=6b137a079265b5fb"),
+        ("storage-2", chain_runtime(2, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=95496922450508f5"),
+        ("storage-4", chain_runtime(4, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=7c85bc5de4a69fe9"),
         ("inline-2+hedge", chain_runtime(2, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=7 dur_ns=27301614846 mean=0x405da49c4455b707 p50=0x405ad28e736049ec p99=0x4079d9d60c2379c9 xfer=0x40317db3e6b53781/0x40297b8d92fb19e7/0x4045ff9e325a9b2d internal=307 spawned=18 cold_starts=18 cancelled=2 trace=6baacfe90234fc9f"),
         ("inline-4+hedge", chain_runtime(4, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=13 dur_ns=27459218182 mean=0x406ccc2f0c2ae9f2 p50=0x4068397d8be72970 p99=0x409061c95c8693ac xfer=0x4036380b1861f6a0/0x402a5f2096787cea/0x4075e9efeab1642b internal=915 spawned=49 cold_starts=49 cancelled=0 trace=82d4af0e541b3a65"),
         ("storage-2+hedge", chain_runtime(2, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=8 dur_ns=29785838455 mean=0x406e6acb0da6f941 p50=0x406855a837f7be12 p99=0x40925730222efef1 xfer=0x4061f20c9d89b6d3/0x40580d38c111ada7/0x4090bc5b5eb33eb5 internal=309 spawned=20 cold_starts=20 cancelled=6 trace=9cdbc25c3d92dfbc"),
         ("storage-4+hedge", chain_runtime(4, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=21 dur_ns=28031473446 mean=0x408266232360f4d3 p50=0x407d2d8f1b25f634 p99=0x409e05a1bd1d8246 xfer=0x4061b15ea325e591/0x4058a3f8ec0f8833/0x409176f3b0d1c48a internal=922 spawned=78 cold_starts=78 cancelled=10 trace=1e31d7e35da9fae8"),
-        ("inline-2~crash", chain_runtime(2, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=1e44d4fd412b72bf"),
-        ("inline-4~crash", chain_runtime(4, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=fccb672a841ffaf3"),
-        ("storage-2~crash", chain_runtime(2, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=3a2a4ddd9e50a730"),
-        ("storage-4~crash", chain_runtime(4, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=eae4d1b60015f3e4"),
-        ("inline-2~purge", chain_runtime(2, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=80 dur_ns=913734375000 mean=0x406fbb5feb8f4c59 p50=0x405ca2914d2f5dbc p99=0x408d9a66f3b61aaf xfer=0x4055712194a1a9cf/0x40302ce78183f91e/0x407aa2cf4a934c1e internal=305 spawned=166 cold_starts=166 cancelled=0 trace=efe05ea9d06efaca"),
-        ("inline-4~purge", chain_runtime(4, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=71 dur_ns=913734375000 mean=0x407c8a26f39d7f65 p50=0x40697ce40639d5e4 p99=0x409d480644f95945 xfer=0x4054078213106ae6/0x40304f23f67f4dbe/0x407c2f15e0f54dca internal=915 spawned=302 cold_starts=302 cancelled=0 trace=cb9a034dca719774"),
-        ("storage-2~purge", chain_runtime(2, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=75 dur_ns=913734375000 mean=0x40779f4253857176 p50=0x4069f24c985f06f7 p99=0x40969c4f63fb7d0b xfer=0x406af714c1ee7769/0x405b72f9a49c2c1b/0x4094eb33cbb118e3 internal=305 spawned=160 cold_starts=160 cancelled=0 trace=470d26a7d934454f"),
-        ("storage-4~purge", chain_runtime(4, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=60 dur_ns=918468750000 mean=0x40888935c4838b74 p50=0x407eb2d98fa37692 p99=0x40a63ebf8e60ab62 xfer=0x406825f11add7264/0x405b728d9f9053a0/0x4094dc80476b238e internal=915 spawned=275 cold_starts=275 cancelled=0 trace=338d47d6adc1a614"),
-        ("web-api", web_api_runtime(), Some(appsuite::web_api()), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x406c8bf863131fc3 p50=0x406b8efbafd976ff p99=0x40781327eac83560 xfer=0x402a0a5173d7afbf/0x4025df77c02afdda/0x40441da773b75cc6 internal=610 spawned=3 cold_starts=3 cancelled=0 trace=07ed5a89abc87812 auth=305/0x40501229f205d9ce/0x405cc8eb96869d28 logic=305/0x405447ed68089de9/0x406d20150210f437 render=305/0x404e7d884605a52a/0x4068ede3d9b995a1"),
+        ("inline-2~crash", chain_runtime(2, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=af92d19f93364479"),
+        ("inline-4~crash", chain_runtime(4, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=6b137a079265b5fb"),
+        ("storage-2~crash", chain_runtime(2, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=95496922450508f5"),
+        ("storage-4~crash", chain_runtime(4, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=7c85bc5de4a69fe9"),
+        ("inline-2~purge", chain_runtime(2, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=79 dur_ns=925000000000 mean=0x406f9f457bd5637b p50=0x405ca2914d2f5dbc p99=0x408d0b71ef335412 xfer=0x4055831b88d9749a/0x4031303a29c779a7/0x407ad50c404a72e9 internal=305 spawned=165 cold_starts=165 cancelled=0 trace=87be605c1706ec5d"),
+        ("inline-4~purge", chain_runtime(4, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=71 dur_ns=925000000000 mean=0x407c7dad5019649b p50=0x40693b0de2ac3222 p99=0x409d5484b724efcb xfer=0x4054013f7bf438a6/0x402fc8e1a3f4666f/0x407c22b57c437270 internal=915 spawned=301 cold_starts=301 cancelled=0 trace=e4033384ff0f4e93"),
+        ("storage-2~purge", chain_runtime(2, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=78 dur_ns=925000000000 mean=0x4077d3cff116d90a p50=0x406a3faa23bff8a9 p99=0x4099582359a207d0 xfer=0x406b107a0b321b91/0x405c05237ac3eb7c/0x40955405f32b5b4a internal=305 spawned=164 cold_starts=164 cancelled=0 trace=38a301ddacf61e2d"),
+        ("storage-4~purge", chain_runtime(4, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=63 dur_ns=925000000000 mean=0x4088bbfb91e68033 p50=0x407edf3559b3d07c p99=0x40a722764f7d6bb7 xfer=0x4068554f6f99c0d6/0x405b2f36ef8055fc/0x4092fe4a2c53c5f9 internal=915 spawned=282 cold_starts=282 cancelled=0 trace=12336c812fa4c0b6"),
+        ("web-api", web_api_runtime(), Some(appsuite::web_api()), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x406c8bf863131fc3 p50=0x406b8efbafd976ff p99=0x40781327eac83560 xfer=0x402a0a5173d7afbf/0x4025df77c02afdda/0x40441da773b75cc6 internal=610 spawned=3 cold_starts=3 cancelled=0 trace=e78e5e628d0d8b4d auth=305/0x40501229f205d9ce/0x405cc8eb96869d28 logic=305/0x405447ed68089de9/0x406d20150210f437 render=305/0x404e7d884605a52a/0x4068ede3d9b995a1"),
     ];
     let mut drifted = Vec::new();
     for (label, runtime, app, golden) in cases {
@@ -517,9 +557,9 @@ fn web_api_runtime() -> RuntimeConfig {
 #[test]
 fn fan_out_apps_match_golden() {
     let cases: [(&str, faas_sim::dag::DagSpec, &str); 3] = [
-        ("thumbnail", appsuite::thumbnail(), "measured=300 warmup=5 cold=1 dur_ns=913734375000 mean=0x408675c604f99d4a p50=0x4081a6bf19934efc p99=0x40a5af9e99402d66 xfer=0x406d053329fe8f6a/0x405ee49461b6d43d/0x409a125c5e780574 upload=305/0x40545a022e5b51e0/0x406729169ef8e68c resize-64=305/0x4062cae7f7a458a8/0x4093c3951a82532b resize-128=305/0x406248201dc4e94f/0x407f9f6aa2a47002 resize-256=305/0x406238c3a95c0af9/0x4081cae166acfdc7 resize-512=305/0x4061c60c84eeb421/0x407af54058a963f2 collect=305/0x405a6def15405aca/0x408da4c44446f30a join:collect=305/0/0x40909f68b47c73ef/0x40a26d9542c3c9ef"),
-        ("map-reduce", appsuite::map_reduce(), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x40832ad24284c32c p50=0x4081d311c0010c70 p99=0x40958d38ee270f8d xfer=0x405e827751a4674b/0x403524564f97edc8/0x4088b7f25afe7e44 ingest=305/0x4056147687ea63ec/0x406a9cd559bea858 map-0=305/0x4063c40b14d34864/0x4086132e83b3a335 map-1=305/0x406607aff8f35e82/0x408845cc22811694 map-2=305/0x406458fb2808eed6/0x408bc5702d373622 map-3=305/0x406614fd25ef6d5a/0x408ac4c62019f628 map-4=305/0x4064a2ef9a82d44d/0x4086f68bea0a0910 map-5=305/0x406410a69233a5c5/0x408515ef173a328b reduce=305/0x40537f806495daf5/0x406d31b691e94f17 join:reduce=305/0/0x4087dedb6aa4b988/0x40936779c1b54196"),
-        ("scatter-gather", appsuite::scatter_gather(), "measured=300 warmup=5 cold=0 dur_ns=913734375000 mean=0x4079e5e4e9d1c050 p50=0x40767e994ea07703 p99=0x409065d786f7d664 xfer=0x404127e6b858c23c/0x4034514c8ffb8b26/0x4063c7be104115cc scatter=305/0x40521d18a4b82b40/0x4063728e2f08f284 lookup-0=305/0x404f5f615916d0de/0x4086f13606537241 lookup-1=305/0x4050ffe367999e3a/0x40866031f914b92a lookup-2=305/0x4050dd2e0cd24d2e/0x4081f86dd17f2457 lookup-3=305/0x4051af4e3f44da34/0x407bf9185a8f8b5e lookup-4=305/0x40508fbb605e6a54/0x40818b89e43c2f34 lookup-5=305/0x405247867350de9f/0x40792a3415da7f7a lookup-6=305/0x404e8d577306ae54/0x407cacf992fc6af4 lookup-7=305/0x405017bf503eb265/0x407b26085ced135f lookup-8=305/0x4050aed71edef0c6/0x4080240642d4d90d lookup-9=305/0x40509fde366a99b0/0x407af1a3e74647ab lookup-10=305/0x404ee3fe762f0ffe/0x4083d5a7fc783187 lookup-11=305/0x4050513d228fa868/0x4076bd3dcb7076e2 lookup-12=305/0x404f5ed3f46ef83c/0x407ba2276c1c626e lookup-13=305/0x40514605b53b2056/0x4080aac0a1dcbdeb lookup-14=305/0x40515170ffe077e1/0x408497cc55556995 lookup-15=305/0x4050fff81907064a/0x407c399d208c8db3 gather=305/0x40447b211ac91e4c/0x4060f0323520d67b join:gather=305/1220/0x40805c2c7e28240b/0x406b90d058dde7a7"),
+        ("thumbnail", appsuite::thumbnail(), "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x408675c604f99d4a p50=0x4081a6bf19934efc p99=0x40a5af9e99402d66 xfer=0x406d053329fe8f6a/0x405ee49461b6d43d/0x409a125c5e780574 upload=305/0x40545a022e5b51e0/0x406729169ef8e68c resize-64=305/0x4062cae7f7a458a8/0x4093c3951a82532b resize-128=305/0x406248201dc4e94f/0x407f9f6aa2a47002 resize-256=305/0x406238c3a95c0af9/0x4081cae166acfdc7 resize-512=305/0x4061c60c84eeb421/0x407af54058a963f2 collect=305/0x405a6def15405aca/0x408da4c44446f30a join:collect=305/0/0x40909f68b47c73ef/0x40a26d9542c3c9ef"),
+        ("map-reduce", appsuite::map_reduce(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x40832ad24284c32c p50=0x4081d311c0010c70 p99=0x40958d38ee270f8d xfer=0x405e827751a4674b/0x403524564f97edc8/0x4088b7f25afe7e44 ingest=305/0x4056147687ea63ec/0x406a9cd559bea858 map-0=305/0x4063c40b14d34864/0x4086132e83b3a335 map-1=305/0x406607aff8f35e82/0x408845cc22811694 map-2=305/0x406458fb2808eed6/0x408bc5702d373622 map-3=305/0x406614fd25ef6d5a/0x408ac4c62019f628 map-4=305/0x4064a2ef9a82d44d/0x4086f68bea0a0910 map-5=305/0x406410a69233a5c5/0x408515ef173a328b reduce=305/0x40537f806495daf5/0x406d31b691e94f17 join:reduce=305/0/0x4087dedb6aa4b988/0x40936779c1b54196"),
+        ("scatter-gather", appsuite::scatter_gather(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4079e5e4e9d1c050 p50=0x40767e994ea07703 p99=0x409065d786f7d664 xfer=0x404127e6b858c23c/0x4034514c8ffb8b26/0x4063c7be104115cc scatter=305/0x40521d18a4b82b40/0x4063728e2f08f284 lookup-0=305/0x404f5f615916d0de/0x4086f13606537241 lookup-1=305/0x4050ffe367999e3a/0x40866031f914b92a lookup-2=305/0x4050dd2e0cd24d2e/0x4081f86dd17f2457 lookup-3=305/0x4051af4e3f44da34/0x407bf9185a8f8b5e lookup-4=305/0x40508fbb605e6a54/0x40818b89e43c2f34 lookup-5=305/0x405247867350de9f/0x40792a3415da7f7a lookup-6=305/0x404e8d577306ae54/0x407cacf992fc6af4 lookup-7=305/0x405017bf503eb265/0x407b26085ced135f lookup-8=305/0x4050aed71edef0c6/0x4080240642d4d90d lookup-9=305/0x40509fde366a99b0/0x407af1a3e74647ab lookup-10=305/0x404ee3fe762f0ffe/0x4083d5a7fc783187 lookup-11=305/0x4050513d228fa868/0x4076bd3dcb7076e2 lookup-12=305/0x404f5ed3f46ef83c/0x407ba2276c1c626e lookup-13=305/0x40514605b53b2056/0x4080aac0a1dcbdeb lookup-14=305/0x40515170ffe077e1/0x408497cc55556995 lookup-15=305/0x4050fff81907064a/0x407c399d208c8db3 gather=305/0x40447b211ac91e4c/0x4060f0323520d67b join:gather=305/1220/0x40805c2c7e28240b/0x406b90d058dde7a7"),
     ];
     let mut drifted = Vec::new();
     for (label, app, golden) in cases {
@@ -607,9 +647,8 @@ fn keepalive_pin(
 /// Keep-alive expiry pinned where deadlines interleave: uniform
 /// keep-alives at a request rate near their scale, with purge storms and
 /// with fleet telemetry (both reschedule only while the run still has
-/// work or a keep-alive deadline ahead). Storms and telemetry are never
-/// combined: each keeps the other's next tick pending, so such a run
-/// never drains. Captured while every idle transition still queued its
+/// work or a keep-alive deadline ahead; the combination is pinned by
+/// `storms_and_telemetry_stop_after_the_last_deadline`). Captured while every idle transition still queued its
 /// own keep-alive check; any change to which check reaps an instance, or
 /// to how long the periodic ticks run, shows up here. Seeds 1 and 28 end
 /// with their latest deadline never queued as a check of its own (it
@@ -636,4 +675,38 @@ fn keepalive_expiry_matches_golden() {
         }
     }
     assert!(drifted.is_empty(), "keep-alive expiry drifted:\n{}", drifted.join("\n"));
+}
+
+/// Purge storms and fleet telemetry on one cloud: each periodic tick
+/// must not count the other's pending tick as work, or the pair keeps
+/// itself alive and `run_to_idle` never returns. Twenty requests a
+/// minute apart on aws-like (fixed 10-minute keep-alive) leave their
+/// last deadline inside the first half hour; both tick series must end
+/// there, however far the clock then runs.
+#[test]
+fn storms_and_telemetry_stop_after_the_last_deadline() {
+    use faas_sim::spec::FunctionSpec;
+    use simkit::time::SimTime;
+
+    const HOUR_S: f64 = 3_600.0;
+    let mut cloud = faas_sim::cloud::CloudSim::new(providers::profiles::aws_like(), CLOUD_SEED);
+    cloud.install_faults(faults::FaultSpec::preset("purge-storm").unwrap().build());
+    cloud.enable_timeline(SimTime::from_secs(60.0));
+    let f = cloud.deploy(FunctionSpec::builder("f").build()).unwrap();
+    for i in 0..20u64 {
+        cloud.submit(f, i, SimTime::from_secs(60.0 * i as f64));
+    }
+    cloud.run_until(SimTime::from_secs(100.0 * HOUR_S));
+    let ticks =
+        |cloud: &faas_sim::cloud::CloudSim| (cloud.fault_stats().storms, cloud.timeline().len());
+    let at_horizon = ticks(&cloud);
+    let last_sample = cloud.timeline().last().expect("telemetry sampled the run").at;
+    assert!(
+        last_sample < SimTime::from_secs(HOUR_S),
+        "telemetry still sampling at {last_sample:?} ({at_horizon:?} storms/samples)"
+    );
+    cloud.run_to_idle();
+    assert_eq!(ticks(&cloud), at_horizon, "ticks resumed after the horizon");
+    assert!(at_horizon.0 > 0, "storms fired while the run was active");
+    assert_eq!(cloud.drain_completions().len(), 20);
 }
