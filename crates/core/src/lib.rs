@@ -8,6 +8,12 @@
 //! execution times, chained functions with inline or storage transfers),
 //! and collects end-to-end and per-component latency measurements.
 //!
+//! One client drive loop, [`client::run_workload_spec`], runs every
+//! workload: open or closed loop, with or without a tail-tolerance
+//! policy, an IAT-only config as its lifted open-loop spec. A
+//! closed-loop user thinks from its own response, so a closed-loop run
+//! offers the rate Little's law predicts.
+//!
 //! The deployment target here is the [`faas_sim`] simulator (the paper
 //! deployed to AWS Lambda, Google Cloud Functions and Azure Functions —
 //! see `DESIGN.md` for the substitution rationale); the calibrated
@@ -38,7 +44,6 @@ pub mod client;
 pub mod config;
 pub mod deployer;
 pub mod experiment;
-mod policy_driver;
 pub mod protocols;
 pub mod runner;
 pub mod traceio;

@@ -2473,6 +2473,14 @@ impl CloudSim {
         self.sim.run_until(horizon);
     }
 
+    /// [`CloudSim::run_until`] that stops right after the first event
+    /// that leaves an external completion to drain, with the clock at
+    /// that event's time. A closed-loop client calls this so each user's
+    /// next request follows its own response, not the next time slice.
+    pub fn run_until_completion(&mut self, horizon: SimTime) {
+        self.sim.run_until_or(horizon, |cloud| !cloud.completions.is_empty());
+    }
+
     /// Runs the simulation until no events remain, then advances the
     /// clock to the latest keep-alive deadline ever drawn if that is
     /// later: the run ends past the last idle timeout, whether or not a

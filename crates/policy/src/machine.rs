@@ -38,7 +38,7 @@ pub enum PolicyEvent {
     /// `estimate_ms` is the latency quantile this run's hedge policies
     /// are configured to track: the exact type-7 quantile of every
     /// winning attempt's latency so far (NaN until enough winners have
-    /// been observed). The policy driver keeps it in a
+    /// been observed). The client drive loop keeps it in a
     /// `stats::percentile::RunningQuantile` — O(log n) per winner, O(1)
     /// per read, 8 B of memory per winner.
     Issued { now_ms: f64, estimate_ms: f64 },

@@ -527,7 +527,7 @@ impl<M: Model> Simulation<M> {
     /// Runs until the event queue is empty.
     pub fn run(&mut self) {
         if self.profiler.is_some() {
-            self.run_profiled(None);
+            self.run_profiled(None, |_| false);
             return;
         }
         while self.step() {}
@@ -545,8 +545,20 @@ impl<M: Model> Simulation<M> {
     /// loop O(1) per event on the calendar backend, where peeking is as
     /// expensive as a full bucket scan.
     pub fn run_until(&mut self, horizon: SimTime) {
+        self.run_until_or(horizon, |_| false);
+    }
+
+    /// [`Simulation::run_until`] that also stops right after the first
+    /// dispatched event after which `stop(model)` holds. On such a stop
+    /// the clock stays at that event's time rather than advancing to
+    /// `horizon`, and the remaining events keep their FIFO order for the
+    /// next call. `run_until` is this with a never-true condition, which
+    /// monomorphizes away.
+    pub fn run_until_or(&mut self, horizon: SimTime, mut stop: impl FnMut(&M) -> bool) {
         if self.profiler.is_some() {
-            self.run_profiled(Some(horizon));
+            if self.run_profiled(Some(horizon), stop) {
+                return;
+            }
         } else {
             while let Some((key, event)) = self.sched.pop_entry() {
                 if key.at > horizon {
@@ -557,6 +569,9 @@ impl<M: Model> Simulation<M> {
                 self.sched.current_seq = key.seq;
                 self.processed += 1;
                 self.model.handle(key.at, event, &mut self.sched);
+                if stop(&self.model) {
+                    return;
+                }
             }
         }
         if self.sched.now < horizon {
@@ -564,8 +579,8 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// The instrumented dispatch loop behind `run`/`run_until` when
-    /// profiling is enabled.
+    /// The instrumented dispatch loop behind `run`/`run_until_or` when
+    /// profiling is enabled; returns whether `stop` ended it.
     ///
     /// One wall-clock timestamp is taken per dispatched event; the delta
     /// since the previous timestamp is attributed to that event's class,
@@ -573,11 +588,12 @@ impl<M: Model> Simulation<M> {
     /// per-class sums therefore telescope to the loop's wall time (the
     /// only unattributed work is the final failed pop), which is what
     /// lets the cost table's total stand in for measured wall time.
-    fn run_profiled(&mut self, horizon: Option<SimTime>) {
+    fn run_profiled(&mut self, horizon: Option<SimTime>, mut stop: impl FnMut(&M) -> bool) -> bool {
         use std::time::Instant;
         let profiler = self.profiler.as_mut().expect("run_profiled requires a profiler");
         let loop_start = Instant::now();
         let mut last = loop_start;
+        let mut stopped = false;
         while let Some((key, event)) = self.sched.pop_entry() {
             if let Some(h) = horizon {
                 if key.at > h {
@@ -593,8 +609,13 @@ impl<M: Model> Simulation<M> {
             let t = Instant::now();
             profiler.record(class, (t - last).as_nanos() as u64);
             last = t;
+            if stop(&self.model) {
+                stopped = true;
+                break;
+            }
         }
         profiler.record_loop(loop_start.elapsed().as_nanos() as u64);
+        stopped
     }
 }
 
@@ -672,6 +693,45 @@ mod tests {
         // Remaining events still fire on the next run.
         sim.run();
         assert_eq!(sim.model().seen.len(), 101);
+    }
+
+    /// `run_until_or` stops right after the first event satisfying the
+    /// condition, leaves the clock at that event rather than the horizon,
+    /// and resumes in FIFO order on the next call — on the plain and the
+    /// profiled dispatch loop alike.
+    #[test]
+    fn run_until_or_stops_after_the_first_matching_event() {
+        for profiled in [false, true] {
+            let mut sim = Simulation::new(Recorder::default());
+            if profiled {
+                sim.enable_event_profiling();
+            }
+            let ms = SimTime::from_millis;
+            sim.schedule_at(ms(1.0), Ev::Mark(1));
+            for id in 2..=4 {
+                sim.schedule_at(ms(2.0), Ev::Mark(id));
+            }
+            sim.schedule_at(ms(5.0), Ev::Mark(5));
+            let ids = |sim: &Simulation<Recorder>| -> Vec<u32> {
+                sim.model().seen.iter().map(|&(_, id)| id).collect()
+            };
+
+            let hit_two = |m: &Recorder| m.seen.last().is_some_and(|&(_, id)| id == 2);
+            sim.run_until_or(ms(10.0), hit_two);
+            assert_eq!(ids(&sim), vec![1, 2], "profiled {profiled}");
+            assert_eq!(sim.now(), ms(2.0), "clock stays at the stopping event");
+
+            sim.run_until_or(ms(10.0), |m| m.seen.len() == 3);
+            assert_eq!(ids(&sim), vec![1, 2, 3], "equal-time events resume in FIFO order");
+            assert_eq!(sim.now(), ms(2.0));
+
+            sim.run_until_or(ms(10.0), |_| false);
+            assert_eq!(ids(&sim), vec![1, 2, 3, 4, 5]);
+            assert_eq!(sim.now(), ms(10.0), "no stop: the clock reaches the horizon");
+            if profiled {
+                assert_eq!(sim.event_profile().unwrap().total_events(), 5);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! [`RunningQuantile`] answers the same type-7 quantile online, in O(1)
 //! per query and O(log n) per sample, for callers that read a quantile
-//! between arrivals (the policy driver's hedge threshold).
+//! between arrivals (the client drive loop's hedge threshold).
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

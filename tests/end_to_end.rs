@@ -122,3 +122,34 @@ fn replicas_accelerate_cold_measurements_without_warming() {
     // samples × 15 min.
     assert!(outcome.result.duration < simkit::time::SimTime::from_mins(45));
 }
+
+/// Little's law on the `closed-loop` preset: N users with mean think
+/// time Z and mean response time R offer X = N / (Z + R). Each user
+/// thinks from its own logical response, with or without a policy, so
+/// X·(Z+R)/N is 1 (a client that saw responses only at slice boundaries
+/// offered about a third of that).
+#[test]
+fn closed_loop_offers_its_littles_law_rate() {
+    let spec = workload::spec::WorkloadSpec::preset("closed-loop").unwrap();
+    let workload::spec::ModeSpec::Closed { concurrency } = spec.mode else {
+        panic!("the closed-loop preset runs closed")
+    };
+    let workload::spec::ArrivalSpec::Exponential { mean_ms: think_ms } = spec.arrival else {
+        panic!("the closed-loop preset thinks exponentially")
+    };
+    for policy in [None, Some(policy::PolicySpec::preset("tied-2").unwrap())] {
+        let mut cfg = RuntimeConfig::single(IatSpec::short(), 2000);
+        cfg.workload = Some(spec.clone());
+        cfg.policy = policy.clone();
+        let outcome = Experiment::new(aws_like())
+            .functions(StaticConfig { functions: vec![StaticFunction::python_zip("f")] })
+            .workload(cfg)
+            .seed(3)
+            .run()
+            .unwrap();
+        let x = outcome.result.offered.expect("closed-loop runs report offered load");
+        let r_ms = outcome.result.latency_agg.mean();
+        let ratio = x.mean_rate_per_s * (think_ms + r_ms) / 1e3 / f64::from(concurrency);
+        assert!((ratio - 1.0).abs() < 0.10, "{policy:?}: X·(Z+R)/N = {ratio:.3}");
+    }
+}
