@@ -75,7 +75,7 @@ pub fn resolve(input: &str) -> Result<DagSpec, String> {
 
 /// Interactive web/API backend: the linear three-stage request path.
 /// Fully linear with constant payloads — the degenerate single-path DAG,
-/// byte-identical to the same stages deployed as a `ChainSpec` chain.
+/// the same shape a `ChainConfig` chain is lowered to at deploy time.
 pub fn web_api() -> DagSpec {
     DagSpec::new("web-api")
         .node(DagNodeSpec::new("auth").exec_ms(Dist::lognormal_median_p99(2.0, 8.0)).memory_mb(256))

@@ -230,6 +230,11 @@ impl ChainConfig {
         if self.payload_bytes == 0 {
             return Err("chained payload must be non-empty".into());
         }
+        // The chain deploys with constant `f64` payload edges, exact up to
+        // 2^53 bytes.
+        if self.payload_bytes > 1 << f64::MANTISSA_DIGITS {
+            return Err(format!("chained payload of {} bytes exceeds 2^53", self.payload_bytes));
+        }
         Ok(())
     }
 }
@@ -460,6 +465,11 @@ mod tests {
         bad.chain =
             Some(ChainConfig { length: 1, mode: TransferMode::Inline, payload_bytes: 1024 });
         assert!(bad.validate().is_err());
+        for (payload_bytes, ok) in [(0, false), ((1 << 53) + 1, false), (1 << 53, true)] {
+            let mut cfg = good.clone();
+            cfg.chain = Some(ChainConfig { length: 2, mode: TransferMode::Storage, payload_bytes });
+            assert_eq!(cfg.validate().is_ok(), ok, "{payload_bytes} bytes");
+        }
         let mut bad = good;
         bad.exec_ms = f64::NAN;
         assert!(bad.validate().is_err());

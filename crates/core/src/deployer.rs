@@ -6,6 +6,7 @@
 //! trait is kept so a real-cloud backend could slot in.
 
 use faas_sim::cloud::{CloudSim, DeployError};
+use faas_sim::dag::{DagNodeSpec, DagSpec};
 use faas_sim::spec::FunctionSpec;
 use faas_sim::types::FunctionId;
 use simkit::dist::Dist;
@@ -46,14 +47,14 @@ impl Deployment {
 /// Deploys `static_cfg` into `cloud`, wiring chains and execution times
 /// from `runtime_cfg`.
 ///
-/// For every entry and replica this creates the function (and, when a
-/// chain is configured, its `length − 1` downstream hops, deployed
-/// tail-first so each hop can reference the next).
+/// For every entry and replica this creates the function or, when a
+/// chain is configured, a linear workflow of `length` hops deployed with
+/// [`CloudSim::deploy_dag`], whose head becomes the endpoint.
 ///
 /// # Errors
 ///
 /// Propagates [`DeployError`] from the simulator (invalid specs, inline
-/// payload above the provider cap).
+/// payload above the provider cap). A rejected chain deploys nothing.
 pub fn deploy(
     cloud: &mut CloudSim,
     static_cfg: &StaticConfig,
@@ -66,8 +67,11 @@ pub fn deploy(
         for replica in 0..entry.replicas {
             let name = format!("{}-{replica}", entry.name);
             let head = match &runtime_cfg.chain {
-                Some(chain) => deploy_chain(cloud, entry, &name, runtime_cfg.exec_ms, chain)?,
-                None => deploy_one(cloud, entry, &name, runtime_cfg.exec_ms, None)?,
+                Some(chain) => {
+                    let spec = chain_spec(entry, &name, runtime_cfg.exec_ms, chain);
+                    cloud.deploy_dag(&spec.compile().map_err(DeployError::InvalidSpec)?)?.root
+                }
+                None => deploy_one(cloud, entry, &name, runtime_cfg.exec_ms)?,
             };
             endpoints.push(Endpoint {
                 url: format!("https://{}.sim/{}", cloud.config().name, name),
@@ -84,38 +88,40 @@ fn deploy_one(
     entry: &StaticFunction,
     name: &str,
     exec_ms: f64,
-    chain_to: Option<(&ChainConfig, FunctionId)>,
 ) -> Result<FunctionId, DeployError> {
-    let mut builder = FunctionSpec::builder(name)
+    let spec = FunctionSpec::builder(name)
         .runtime(entry.runtime)
         .deployment(entry.deployment)
         .memory_mb(entry.memory_mb)
         .extra_image_mb(entry.extra_image_mb)
-        .exec_ms(Dist::constant(exec_ms));
-    if let Some((chain, next)) = chain_to {
-        builder = builder.chain(next, chain.mode, chain.payload_bytes);
-    }
-    let spec = builder.try_build().map_err(DeployError::InvalidSpec)?;
+        .exec_ms(Dist::constant(exec_ms))
+        .try_build()
+        .map_err(DeployError::InvalidSpec)?;
     cloud.deploy(spec)
 }
 
-/// Deploys a chain tail-first; returns the head (producer) function.
-fn deploy_chain(
-    cloud: &mut CloudSim,
-    entry: &StaticFunction,
-    name: &str,
-    exec_ms: f64,
-    chain: &ChainConfig,
-) -> Result<FunctionId, DeployError> {
-    // Tail (final consumer) has no downstream hop.
-    let tail_name = format!("{name}-hop{}", chain.length - 1);
-    let mut next = deploy_one(cloud, entry, &tail_name, exec_ms, None)?;
-    // Middle hops and head, from tail-1 down to 0.
-    for hop in (0..chain.length - 1).rev() {
-        let hop_name = if hop == 0 { name.to_string() } else { format!("{name}-hop{hop}") };
-        next = deploy_one(cloud, entry, &hop_name, exec_ms, Some((chain, next)))?;
+/// A chain as the linear workflow `name`: nodes `hop0` (the head) to
+/// `hop{length − 1}`, each `entry`'s function with a constant `exec_ms`,
+/// joined by constant-payload edges. A constant payload draws nothing,
+/// and the cloud deploys the hops tail-first.
+fn chain_spec(entry: &StaticFunction, name: &str, exec_ms: f64, chain: &ChainConfig) -> DagSpec {
+    let mut spec = DagSpec::new(name);
+    for hop in 0..chain.length {
+        spec = spec.node(DagNodeSpec {
+            name: format!("hop{hop}"),
+            runtime: entry.runtime,
+            deployment: entry.deployment,
+            memory_mb: entry.memory_mb,
+            extra_image_mb: entry.extra_image_mb,
+            exec_ms: Dist::constant(exec_ms),
+            join: None,
+        });
     }
-    Ok(next)
+    for hop in 1..chain.length {
+        let (from, to) = (format!("hop{}", hop - 1), format!("hop{hop}"));
+        spec = spec.edge(from, to, chain.mode, Dist::constant(chain.payload_bytes as f64));
+    }
+    spec
 }
 
 #[cfg(test)]
@@ -188,6 +194,9 @@ mod tests {
         });
         let err = deploy(&mut cloud, &static_cfg, &runtime_cfg).unwrap_err();
         assert!(matches!(err, DeployError::InlinePayloadTooLarge { .. }));
+        // The rejected chain left no function behind.
+        let d = deploy(&mut cloud, &static_cfg, &RuntimeConfig::single(IatSpec::short(), 10));
+        assert_eq!(d.unwrap().endpoints[0].function.index(), 0);
     }
 
     #[test]

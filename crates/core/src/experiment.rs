@@ -80,13 +80,14 @@ pub struct Experiment {
 }
 
 /// Latency breakdown of one workflow stage (DAG node), over every
-/// invocation of the stage (warm-up rounds included — stages run once
-/// per workflow traversal, not once per measured sample).
+/// successful invocation of the stage (warm-up rounds included — stages
+/// run once per workflow traversal, not once per measured sample; see
+/// [`CloudSim::stage_stats`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStats {
     /// Node name from the [`DagSpec`].
     pub name: String,
-    /// Stage invocations observed.
+    /// Successful stage invocations observed.
     pub count: u64,
     /// Median stage latency, ms. A stage's latency excludes its
     /// downstream round trip (`total − chain`), so stages don't
@@ -135,7 +136,8 @@ pub struct Outcome {
     pub result: RunResult,
     /// Summary statistics over the measured end-to-end latencies, ms.
     pub summary: Summary,
-    /// Summary over transfer times (chains only), ms.
+    /// Summary over transfer times, ms; `None` when no edge carried a
+    /// payload (no chain or workflow deployed).
     pub transfer_summary: Option<Summary>,
     /// Spans captured by the trace ring; empty unless
     /// [`Experiment::trace`] enabled tracing.
@@ -268,12 +270,6 @@ impl Experiment {
             Some(plan) => {
                 self.runtime_cfg.validate().map_err(DeployError::InvalidSpec)?;
                 let dep = cloud.deploy_dag(plan)?;
-                // Per-stage reporting needs the internal hops — and the
-                // root completions too when the client will not retain
-                // them; recording draws no randomness, so results are
-                // unperturbed.
-                cloud.record_internal_completions(true);
-                cloud.record_root_completions(!self.measure.keep_samples);
                 let endpoint = Endpoint {
                     url: format!("https://{}.sim/{}", cloud.config().name, plan.name),
                     function: dep.root,
@@ -315,7 +311,7 @@ impl Experiment {
             result.faults = Some(cloud.fault_stats());
         }
         let dag = match (&dag_plan, &dag_deployment) {
-            (Some(plan), Some(dep)) => Some(dag_run_stats(&mut cloud, plan, dep, &result)),
+            (Some(plan), Some(dep)) => Some(dag_run_stats(&cloud, plan, dep)),
             _ => None,
         };
         let spans = cloud.drain_spans();
@@ -329,58 +325,25 @@ impl Experiment {
     }
 }
 
-/// Builds the per-stage breakdown and straggler report of a workflow run.
-///
-/// Stage latency is `total − chain` per completion — a stage's own
-/// contribution (infrastructure, execution, response) excluding the
-/// downstream round trip it waited on, so stages don't double-count their
-/// subtrees. Root-stage samples come from the client's completions
-/// (warm-up included) when it retains them, otherwise from the cloud's
-/// recorded root completions with provider errors dropped as the client
-/// drops them; the other stages come from the recorded internal
-/// completions. Under a client policy the retained samples hold one
-/// winning attempt per logical request while the recorded roots hold
-/// every successful attempt, as the other stages always do.
-fn dag_run_stats(
-    cloud: &mut CloudSim,
-    plan: &DagPlan,
-    dep: &DagDeployment,
-    result: &RunResult,
-) -> DagRunStats {
-    use std::collections::HashMap;
-    // fid -> plan node index.
-    let node_of: HashMap<usize, usize> =
-        dep.functions.iter().enumerate().map(|(node, fid)| (fid.index(), node)).collect();
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); plan.nodes.len()];
-    let internal = cloud.drain_internal_completions();
-    // Recorded roots are present only when the client kept no samples.
-    let recorded = internal.iter().filter(|c| !c.origin.is_external() || c.is_ok());
-    for c in result.completions.iter().chain(result.warmup_completions.iter()).chain(recorded) {
-        if let Some(&node) = node_of.get(&c.function.index()) {
-            samples[node].push(c.breakdown.total_ms() - c.breakdown.chain_ms);
-        }
-    }
-    let stages = plan
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let s = &mut samples[i];
-            s.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+/// Names the cloud's per-node stage and join statistics of a workflow
+/// run after the plan's nodes.
+fn dag_run_stats(cloud: &CloudSim, plan: &DagPlan, dep: &DagDeployment) -> DagRunStats {
+    let nodes = || plan.nodes.iter().zip(&dep.functions);
+    let stages = nodes()
+        .map(|(node, &fid)| {
+            let stage = cloud.stage_stats(fid).expect("every workflow node has a record");
             StageStats {
                 name: node.name.clone(),
-                count: s.len() as u64,
-                median_ms: quantile_sorted(s, 0.5),
-                p99_ms: quantile_sorted(s, 0.99),
+                count: stage.count,
+                median_ms: stage.median_ms,
+                p99_ms: stage.p99_ms,
             }
         })
         .collect();
-    let mut joins: Vec<JoinReport> = cloud
-        .dag_join_stats()
-        .into_iter()
-        .filter_map(|j| {
-            node_of.get(&j.function.index()).map(|&node| JoinReport {
-                stage: plan.nodes[node].name.clone(),
+    let joins: Vec<JoinReport> = nodes()
+        .filter_map(|(node, &fid)| {
+            cloud.join_stats(fid).map(|j| JoinReport {
+                stage: node.name.clone(),
                 fired: j.fired,
                 stragglers: j.stragglers,
                 branch_p99_ms: j.branch_p99_ms,
@@ -389,18 +352,8 @@ fn dag_run_stats(
             })
         })
         .collect();
-    joins.sort_by_key(|j| plan.nodes.iter().position(|n| n.name == j.stage));
     let straggler_amplification = joins.iter().map(|j| j.amplification).fold(0.0, f64::max);
     DagRunStats { app: plan.name.clone(), stages, joins, straggler_amplification }
-}
-
-/// Quantile of an already-sorted sample set (nearest-rank); 0 when empty.
-fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -578,23 +531,26 @@ mod tests {
         );
     }
 
-    /// Sketch mode retains no client samples, so the root stage must be
-    /// fed from the cloud's recorded root completions: every stage,
-    /// root included, reports the same statistics as the exact run.
+    /// Sketch mode retains no client samples; stage statistics come from
+    /// the cloud either way, so every stage, root included, reports the
+    /// same statistics as the exact run — with and without a policy.
     #[test]
     fn sketch_app_experiment_reports_stage_breakdown() {
-        let run = |measure| {
-            let mut runtime = RuntimeConfig::single(IatSpec::Fixed { ms: 500.0 }, 20);
+        let run = |measure, samples, app, policy: Option<&str>| {
+            let mut runtime = RuntimeConfig::single(IatSpec::Fixed { ms: 500.0 }, samples);
             runtime.warmup_rounds = 2;
+            if let Some(name) = policy {
+                runtime = runtime.with_policy(policy::PolicySpec::preset(name).unwrap());
+            }
             Experiment::new(test_provider())
-                .app(fan_two())
+                .app(app)
                 .workload(runtime)
                 .seed(3)
                 .measure(measure)
                 .run()
                 .unwrap()
         };
-        let sketch = run(MeasureSpec::sketch());
+        let sketch = run(MeasureSpec::sketch(), 20, fan_two(), None);
         assert!(sketch.result.completions.is_empty(), "sketch mode retains no samples");
         assert_eq!(sketch.summary.count, 20);
         let dag = sketch.dag.expect("app runs report per-stage statistics");
@@ -604,10 +560,23 @@ mod tests {
             assert!(stage.median_ms > 0.0);
             assert!(stage.p99_ms >= stage.median_ms);
         }
-        let exact = run(MeasureSpec::exact()).dag.unwrap();
+        let exact = run(MeasureSpec::exact(), 20, fan_two(), None).dag.unwrap();
         assert_eq!(dag.stages, exact.stages, "stage statistics must not depend on retention");
         assert_eq!(dag.joins.len(), 1);
         assert_eq!(dag.joins[0].fired, 22);
+
+        // Under a policy the root stage counts every successful root
+        // attempt — each winner plus each duplicate success — in both
+        // modes, not one retained winner per logical request.
+        let mut slow_branch = fan_two();
+        slow_branch.nodes[2].exec_ms = simkit::dist::Dist::lognormal_median_p99(40.0, 200.0);
+        let hedged = |measure| run(measure, 60, slow_branch.clone(), Some("hedge-p95"));
+        let (sketch, exact) = (hedged(MeasureSpec::sketch()), hedged(MeasureSpec::exact()));
+        let policy = exact.result.policy.expect("policy stats surface through Outcome");
+        assert!(policy.duplicate_successes > 0, "the hedge must fire: {policy:?}");
+        let (sketch, exact) = (sketch.dag.unwrap(), exact.dag.unwrap());
+        assert_eq!(sketch, exact, "stage statistics must not depend on retention");
+        assert_eq!(exact.stages[0].count, policy.logical + policy.duplicate_successes);
     }
 
     #[test]

@@ -171,14 +171,12 @@ pub mod metric {
     pub const PROFILE_LOOP_NS: &str = "profile_loop_ns";
 }
 
-/// Errors returned by [`CloudSim::deploy`].
+/// Errors returned by [`CloudSim::deploy`] and [`CloudSim::deploy_dag`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeployError {
     /// The spec failed validation.
     InvalidSpec(String),
-    /// The chain references a function that was not deployed.
-    UnknownChainTarget(FunctionId),
-    /// An inline chained payload exceeds the provider's inline cap.
+    /// A constant inline edge payload exceeds the provider's inline cap.
     InlinePayloadTooLarge {
         /// Requested payload, bytes.
         requested: u64,
@@ -191,9 +189,6 @@ impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeployError::InvalidSpec(msg) => write!(f, "invalid function spec: {msg}"),
-            DeployError::UnknownChainTarget(id) => {
-                write!(f, "chain references unknown function {id}")
-            }
             DeployError::InlinePayloadTooLarge { requested, limit } => write!(
                 f,
                 "inline payload of {requested} bytes exceeds provider limit of {limit} bytes"
@@ -304,10 +299,12 @@ struct FunctionState {
     image_mb: f64,
     /// Lifetime/busy-time resource accounting.
     usage: UsageTracker,
-    /// Out-edges forked at compute-done, in spec order; empty for a plain
-    /// function. A [`crate::spec::ChainSpec`] deploys as one
-    /// constant-payload edge, a workflow node as its plan edges.
+    /// Out-edges forked at compute-done, in plan order; empty for a plain
+    /// function.
     out: Vec<RuntimeEdge>,
+    /// Statistics of a workflow node; `None` for a function deployed
+    /// outside a workflow.
+    node: Option<Box<NodeRecord>>,
 }
 
 impl FunctionState {
@@ -370,8 +367,23 @@ pub struct DagDeployment {
     pub functions: Vec<FunctionId>,
 }
 
+/// Stage-latency statistics of one workflow node, over every successful
+/// completion so far (see [`CloudSim::stage_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageLatency {
+    /// Successful completions: every invocation of an internal node, and
+    /// every error-free attempt of the root.
+    pub count: u64,
+    /// Median stage latency, ms. A stage's latency excludes its
+    /// downstream round trip (`total − chain`), so stages don't
+    /// double-count their subtrees.
+    pub median_ms: f64,
+    /// 99th-percentile stage latency, ms.
+    pub p99_ms: f64,
+}
+
 /// Straggler-amplification statistics of one join node, computed over
-/// every barrier firing of the run (see [`CloudSim::dag_join_stats`]).
+/// every barrier firing of the run (see [`CloudSim::join_stats`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinStats {
     /// The join function.
@@ -393,7 +405,7 @@ pub struct JoinStats {
     pub amplification: f64,
 }
 
-/// Per-function conservation counters for requests spawned by the fork
+/// Per-node conservation counters for requests spawned by the fork
 /// path: chain hops, fan-out children and fired joins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DagNodeCounters {
@@ -471,7 +483,7 @@ struct PendingArrival {
     total: u32,
 }
 
-/// Latency accumulator of one join function.
+/// Latency accumulator of one join node.
 #[derive(Debug, Default)]
 struct JoinAccum {
     /// Per-branch latencies: producer issue to barrier arrival, ms.
@@ -480,6 +492,18 @@ struct JoinAccum {
     join_ms: Vec<f64>,
     stragglers: u64,
     fired: u64,
+}
+
+/// Everything the cloud records about one workflow node, created by
+/// [`CloudSim::deploy_dag`]. Recording draws no randomness and schedules
+/// no events.
+#[derive(Debug, Default)]
+struct NodeRecord {
+    counters: DagNodeCounters,
+    /// Stage latency (`total − chain`) of every successful completion, ms.
+    stage_ms: Vec<f64>,
+    /// Barrier accounting; `Some` exactly for join nodes.
+    join: Option<JoinAccum>,
 }
 
 /// The cloud model (see module docs). Use through [`CloudSim`].
@@ -549,21 +573,6 @@ pub struct Cloud {
     /// In-flight `JoinArrive` payload metadata, keyed by `(producer
     /// packed id, join function index)`.
     pending_arrivals: BTreeMap<(u64, u32), PendingArrival>,
-    /// Per-join-function latency accumulators, keyed by function index.
-    join_accums: BTreeMap<u32, JoinAccum>,
-    /// Per-node conservation counters, keyed by function index.
-    dag_counters: BTreeMap<u32, DagNodeCounters>,
-    /// Internal (chain hop, fan-out child, join) completions, recorded
-    /// only when `record_internal` is set — the main `completions`
-    /// stream drives client expected-count logic and must stay
-    /// external-only.
-    internal_completions: Vec<Completion>,
-    /// Whether to record internal completions (per-stage breakdowns).
-    record_internal: bool,
-    /// Whether to also copy external completions into
-    /// `internal_completions`, for stage reports whose client discards
-    /// its samples.
-    record_roots: bool,
     /// Latest keep-alive deadline ever drawn (see [`Cloud::run_active`]).
     last_deadline: Option<EventKey>,
     /// Periodic ticks (telemetry, purge storms) in the event queue, which
@@ -594,11 +603,6 @@ impl Cloud {
             join_meta: BTreeMap::new(),
             dag_children: BTreeMap::new(),
             pending_arrivals: BTreeMap::new(),
-            join_accums: BTreeMap::new(),
-            dag_counters: BTreeMap::new(),
-            internal_completions: Vec::new(),
-            record_internal: false,
-            record_roots: false,
             last_deadline: None,
             ticks_queued: 0,
             cfg,
@@ -622,6 +626,17 @@ impl Cloud {
 
     fn fstate_mut(&mut self, fid: FunctionId) -> &mut FunctionState {
         &mut self.functions[fid.index()]
+    }
+
+    /// The record of workflow node `fid`. Only workflow nodes have edges,
+    /// so every internal request and join arrival targets one.
+    fn node_mut(&mut self, fid: FunctionId) -> &mut NodeRecord {
+        self.functions[fid.index()].node.as_mut().expect("not a workflow node")
+    }
+
+    /// The barrier accounting of join node `fid`.
+    fn join_accum_mut(&mut self, fid: FunctionId) -> &mut JoinAccum {
+        self.node_mut(fid).join.as_mut().expect("not a join node")
     }
 
     /// The commit cap for `fid` under the configured policy (frozen at
@@ -734,7 +749,7 @@ impl Cloud {
             let (hot, cold) = self.requests.free(r);
             // Every internal request was spawned by the fork path.
             if !cold.origin.is_external() {
-                self.dag_counters.entry(hot.function.0).or_default().cancelled += 1;
+                self.node_mut(hot.function).counters.cancelled += 1;
             }
             self.dag_children.remove(&r.packed());
             if let Some(meta) = self.join_meta.remove(&r.packed()) {
@@ -848,24 +863,9 @@ impl Cloud {
             // wasted.
             let started = assigned_at.expect("busy request without an assignment time");
             self.cancel_stats.wasted_busy_ms += (now - started).as_millis();
-            {
-                let state = self.fstate_mut(fid);
-                state.instances[iid.idx as usize].release(rid, now);
-                state.usage.on_release(iid.idx as usize, now);
-                state.n_busy -= 1;
-                state.n_idle += 1;
-                state.loads.sub(iid.idx as usize, 1);
-                state.idle_stack.push(iid.idx);
-            }
             // The freed instance can take new work immediately.
-            if self.committed_cap(fid).is_some() {
-                if !self.serve_committed(now, iid, sched) {
-                    self.maybe_schedule_reap(now, iid, sched);
-                }
-            } else {
-                self.serve_queue(now, fid, sched);
-                self.maybe_schedule_reap(now, iid, sched);
-            }
+            self.release_instance(now, rid, iid);
+            self.serve_or_keep_alive(now, iid, sched);
             // The slot itself is retired by the request's still-pending
             // lifecycle event (`ComputeDone`/`ExecDone`) or, for a forking
             // producer, by its cancelled children.
@@ -1424,14 +1424,38 @@ impl Cloud {
                 return;
             }
         }
+        self.serve_or_keep_alive(now, iid, sched);
+    }
+
+    /// Returns `iid` from executing `rid` to the idle pool.
+    fn release_instance(&mut self, now: SimTime, rid: RequestId, iid: InstanceId) {
+        let state = self.fstate_mut(iid.function());
+        state.instances[iid.idx as usize].release(rid, now);
+        state.usage.on_release(iid.idx as usize, now);
+        state.n_busy -= 1;
+        state.n_idle += 1;
+        state.loads.sub(iid.idx as usize, 1);
+        state.idle_stack.push(iid.idx);
+    }
+
+    /// Offers an instance that just went idle new work — its own
+    /// commitments under a committed-assignment policy, the shared queue
+    /// otherwise — and arms its keep-alive if it stays idle.
+    fn serve_or_keep_alive(
+        &mut self,
+        now: SimTime,
+        iid: InstanceId,
+        sched: &mut Scheduler<CloudEvent>,
+    ) {
+        let fid = iid.function();
         if self.committed_cap(fid).is_some() {
             if !self.serve_committed(now, iid, sched) {
                 self.maybe_schedule_reap(now, iid, sched);
             }
-            return;
+        } else {
+            self.serve_queue(now, fid, sched);
+            self.maybe_schedule_reap(now, iid, sched);
         }
-        self.serve_queue(now, fid, sched);
-        self.maybe_schedule_reap(now, iid, sched);
     }
 
     /// Common assignment: instance goes busy, request timing recorded,
@@ -1637,7 +1661,7 @@ impl Cloud {
                         }),
                     );
                     self.stats.internal += 1;
-                    self.dag_counters.entry(edge.target.0).or_default().spawned += 1;
+                    self.node_mut(edge.target).counters.spawned += 1;
                     self.cold_mut(child).wf_root = Some(root);
                     self.dag_children.entry(rid.packed()).or_default().push(child);
                     sched.schedule_at(issue_at, CloudEvent::FrontendArrive(child));
@@ -1686,7 +1710,7 @@ impl Cloud {
         let issued_at = self.hot(parent).issued_at;
         let parent_tag = self.cold(parent).tag;
         let branch_ms = (now - issued_at).as_millis();
-        self.join_accums.entry(jfid.0).or_default().branch_ms.push(branch_ms);
+        self.join_accum_mut(jfid).branch_ms.push(branch_ms);
 
         let key = (root.packed(), jfid.0);
         let barrier = self.join_barriers.entry(key).or_insert(JoinBarrier {
@@ -1706,8 +1730,7 @@ impl Cloud {
             if done {
                 self.join_barriers.remove(&key);
             }
-            let accum = self.join_accums.entry(jfid.0).or_default();
-            accum.stragglers += 1;
+            self.join_accum_mut(jfid).stragglers += 1;
             self.metrics.inc(metric::JOIN_STRAGGLERS);
             self.resolve_dag_obligation(now, parent, sched);
             return;
@@ -1733,7 +1756,7 @@ impl Cloud {
             self.join_barriers.remove(&key);
         }
         {
-            let accum = self.join_accums.entry(jfid.0).or_default();
+            let accum = self.join_accum_mut(jfid);
             accum.join_ms.push((now - min_issue).as_millis());
             accum.fired += 1;
         }
@@ -1767,7 +1790,7 @@ impl Cloud {
             }),
         );
         self.stats.internal += 1;
-        self.dag_counters.entry(jfid.0).or_default().spawned += 1;
+        self.node_mut(jfid).counters.spawned += 1;
         self.cold_mut(jrid).wf_root = Some(root);
         self.dag_children.entry(firing.packed()).or_default().push(jrid);
         self.join_meta.insert(
@@ -1828,17 +1851,6 @@ impl Cloud {
             self.free_cancelled(rid);
             return;
         }
-        let fid = iid.function();
-        {
-            let state = self.fstate_mut(fid);
-            state.instances[iid.idx as usize].release(rid, now);
-            state.usage.on_release(iid.idx as usize, now);
-            state.n_busy -= 1;
-            state.n_idle += 1;
-            state.loads.sub(iid.idx as usize, 1);
-            state.idle_stack.push(iid.idx);
-        }
-
         let is_external = self.cold(rid).origin.is_external();
         let response_ms = self.cold(rid).warm_overhead_ms * self.cfg.warm_path.shares.response;
         let mut prop_back_ms = if is_external {
@@ -1871,15 +1883,10 @@ impl Cloud {
             CloudEvent::Completed(rid),
         );
 
-        // The instance is free: serve more work or schedule a reap.
-        if self.committed_cap(fid).is_some() {
-            if !self.serve_committed(now, iid, sched) {
-                self.maybe_schedule_reap(now, iid, sched);
-            }
-        } else {
-            self.serve_queue(now, fid, sched);
-            self.maybe_schedule_reap(now, iid, sched);
-        }
+        // The instance is free: serve more work or arm its keep-alive.
+        // Releasing draws nothing, so it may follow the response draws.
+        self.release_instance(now, rid, iid);
+        self.serve_or_keep_alive(now, iid, sched);
     }
 
     fn on_completed(&mut self, now: SimTime, rid: RequestId, sched: &mut Scheduler<CloudEvent>) {
@@ -1916,7 +1923,12 @@ impl Cloud {
                         self.fault_stats.completed += 1;
                     }
                 }
-                let completion = Completion {
+                if let Some(node) = &mut self.functions[hot.function.index()].node {
+                    if cold.error.is_none() {
+                        node.stage_ms.push(cold.breakdown.total_ms() - cold.breakdown.chain_ms);
+                    }
+                }
+                self.completions.push(Completion {
                     id: rid,
                     function: hot.function,
                     tag: cold.tag,
@@ -1926,11 +1938,7 @@ impl Cloud {
                     cold: hot.cold_start(),
                     breakdown: cold.breakdown,
                     error: cold.error,
-                };
-                if self.record_roots {
-                    self.internal_completions.push(completion.clone());
-                }
-                self.completions.push(completion);
+                });
             }
             RequestOrigin::Internal { parent } => {
                 let chain_span = self.cold(parent).chain_span;
@@ -1938,9 +1946,7 @@ impl Cloud {
                     // A fired join's round trip is over: resume every
                     // branch producer that was counted into the barrier.
                     self.emit_root_span(rid, now, chain_span);
-                    self.record_internal_completion(rid, now);
-                    self.dag_counters.entry(self.hot(rid).function.0).or_default().completed += 1;
-                    self.requests.free(rid);
+                    self.finish_internal(rid);
                     for p in meta.parents {
                         self.resolve_dag_obligation(now, p, sched);
                     }
@@ -1952,34 +1958,19 @@ impl Cloud {
                     // root span.
                     self.resolve_dag_obligation(now, parent, sched);
                     self.emit_root_span(rid, now, chain_span);
-                    self.record_internal_completion(rid, now);
-                    self.dag_counters.entry(self.hot(rid).function.0).or_default().completed += 1;
-                    self.requests.free(rid);
+                    self.finish_internal(rid);
                 }
             }
         }
     }
 
-    /// Records an internal completion when per-stage recording is on.
-    /// Call before freeing the slot; recording draws no randomness and
-    /// schedules no events, so enabling it cannot perturb results.
-    fn record_internal_completion(&mut self, rid: RequestId, now: SimTime) {
-        if !self.record_internal {
-            return;
-        }
-        let hot = *self.hot(rid);
-        let cold = *self.cold(rid);
-        self.internal_completions.push(Completion {
-            id: rid,
-            function: hot.function,
-            tag: cold.tag,
-            origin: cold.origin,
-            issued_at: hot.issued_at,
-            completed_at: now,
-            cold: hot.cold_start(),
-            breakdown: cold.breakdown,
-            error: cold.error,
-        });
+    /// Books an internal completion on its node's record, then frees its
+    /// slot. Internal requests never carry an error.
+    fn finish_internal(&mut self, rid: RequestId) {
+        let (hot, cold) = self.requests.free(rid);
+        let node = self.node_mut(hot.function);
+        node.counters.completed += 1;
+        node.stage_ms.push(cold.breakdown.total_ms() - cold.breakdown.chain_ms);
     }
 
     /// Draws the keep-alive deadline of an instance that just went idle.
@@ -2085,16 +2076,19 @@ impl Cloud {
     }
 }
 
-/// Exact p99 by sorting: the straggler accumulators hold every sample, so
-/// no sketch is needed (and the exactness keeps the bench pins stable).
-fn exact_p99(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
+/// Exact nearest-rank quantiles `qs` of `samples` (0 when empty), from
+/// one sort: the node records hold every sample, so no sketch is needed
+/// (and the exactness keeps the pins stable).
+fn nearest_ranks<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples are finite"));
-    let idx = ((sorted.len() as f64) * 0.99).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
+    qs.map(|q| {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let rank = ((sorted.len() as f64) * q).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    })
 }
 
 impl Model for Cloud {
@@ -2173,29 +2167,15 @@ impl CloudSim {
         CloudSim { sim: Simulation::with_queue(Cloud::new(cfg, seed), queue), seq_block: None }
     }
 
-    /// Deploys a function; returns its id for [`CloudSim::submit`] and
-    /// chain references.
+    /// Deploys one function with no out-edges; returns its id for
+    /// [`CloudSim::submit`]. Edges come from [`CloudSim::deploy_dag`].
     ///
     /// # Errors
     ///
-    /// Returns [`DeployError`] for invalid specs, dangling chain targets or
-    /// over-limit inline payloads.
+    /// Returns [`DeployError::InvalidSpec`] for an invalid spec.
     pub fn deploy(&mut self, spec: FunctionSpec) -> Result<FunctionId, DeployError> {
         spec.validate().map_err(DeployError::InvalidSpec)?;
         let cloud = self.sim.model_mut();
-        if let Some(chain) = &spec.chain {
-            if chain.next.index() >= cloud.functions.len() {
-                return Err(DeployError::UnknownChainTarget(chain.next));
-            }
-            if chain.mode == TransferMode::Inline
-                && chain.payload_bytes > cloud.cfg.network.max_inline_payload
-            {
-                return Err(DeployError::InlinePayloadTooLarge {
-                    requested: chain.payload_bytes,
-                    limit: cloud.cfg.network.max_inline_payload,
-                });
-            }
-        }
         let image_mb = cloud.cfg.runtimes.model(spec.runtime).base_image_mb + spec.extra_image_mb;
         let fid = FunctionId(cloud.functions.len() as u32);
         // Expected per-request service time: median execution plus the
@@ -2212,18 +2192,6 @@ impl CloudSim {
         // than a few instances, so reserving a scale-out burst's worth
         // for every function would dominate their memory footprint.
         let cap = cloud.cfg.limits.max_instances_per_function.min(4) as usize;
-        // A chain is a one-edge workflow: its constant payload draws
-        // nothing at fork time.
-        let out = spec
-            .chain
-            .iter()
-            .map(|chain| RuntimeEdge {
-                target: chain.next,
-                mode: chain.mode,
-                payload: Dist::constant(chain.payload_bytes as f64),
-                join: None,
-            })
-            .collect();
         cloud.functions.push(FunctionState {
             spec,
             instances: Vec::with_capacity(cap),
@@ -2239,19 +2207,19 @@ impl CloudSim {
             commit_cap: function_commit_cap,
             image_mb,
             usage: UsageTracker::default(),
-            out,
+            out: Vec::new(),
+            node: None,
         });
         Ok(fid)
     }
 
     /// Deploys a compiled workflow: one function per plan node (named
-    /// `{workflow}/{node}`), each carrying its plan out-edges. A producer
-    /// forks one obligation per edge at compute-done and stays busy until
-    /// every obligation resolves (downstream completion, or the k-th
-    /// arrival firing a join barrier) — the same fork path a
-    /// [`crate::spec::FunctionSpecBuilder::chain`] hop takes, so a linear
-    /// plan with constant payloads runs byte-identical to the equivalent
-    /// chain.
+    /// `{workflow}/{node}`), each carrying its plan out-edges and a fresh
+    /// node record (see [`CloudSim::stage_stats`]). A producer forks one
+    /// obligation per edge at compute-done and stays busy until every
+    /// obligation resolves (downstream completion, or the k-th arrival
+    /// firing a join barrier). This is the only way to wire an edge: a
+    /// chain is a linear plan with constant payloads.
     ///
     /// # Errors
     ///
@@ -2293,7 +2261,10 @@ impl CloudSim {
         }
         let cloud = self.sim.model_mut();
         for (node, &fid) in plan.nodes.iter().zip(&fids) {
-            cloud.functions[fid.index()].out = node
+            let state = &mut cloud.functions[fid.index()];
+            let join = node.is_join().then(JoinAccum::default);
+            state.node = Some(Box::new(NodeRecord { join, ..NodeRecord::default() }));
+            state.out = node
                 .out
                 .iter()
                 .map(|e| {
@@ -2310,63 +2281,56 @@ impl CloudSim {
         Ok(DagDeployment { root: fids[plan.root], functions: fids })
     }
 
-    /// Straggler-amplification statistics per join function, over every
-    /// barrier firing so far. Empty when no workflow with a join ran.
+    /// The record of `function` when it is a workflow node.
+    fn node(&self, function: FunctionId) -> Option<&NodeRecord> {
+        self.sim.model().functions[function.index()].node.as_deref()
+    }
+
+    /// Stage-latency statistics of workflow node `function` over every
+    /// successful completion so far: each invocation of an internal node,
+    /// each error-free attempt of the root (a client policy's losing
+    /// attempts included, cancelled ones not). `None` for a function
+    /// deployed outside a workflow.
+    pub fn stage_stats(&self, function: FunctionId) -> Option<StageLatency> {
+        let stage_ms = &self.node(function)?.stage_ms;
+        let [median_ms, p99_ms] = nearest_ranks(stage_ms, [0.5, 0.99]);
+        Some(StageLatency { count: stage_ms.len() as u64, median_ms, p99_ms })
+    }
+
+    /// Straggler-amplification statistics of join node `function`, over
+    /// every barrier firing so far. `None` unless `function` is a join.
+    pub fn join_stats(&self, function: FunctionId) -> Option<JoinStats> {
+        let acc = self.node(function)?.join.as_ref()?;
+        let [branch_p99_ms] = nearest_ranks(&acc.branch_ms, [0.99]);
+        let [join_p99_ms] = nearest_ranks(&acc.join_ms, [0.99]);
+        Some(JoinStats {
+            function,
+            fired: acc.fired,
+            stragglers: acc.stragglers,
+            branch_samples: acc.branch_ms.len() as u64,
+            branch_p99_ms,
+            join_p99_ms,
+            amplification: if branch_p99_ms > 0.0 { join_p99_ms / branch_p99_ms } else { 0.0 },
+        })
+    }
+
+    /// [`CloudSim::join_stats`] of every deployed join node, in function
+    /// order. Empty when no workflow with a join was deployed.
     pub fn dag_join_stats(&self) -> Vec<JoinStats> {
-        let cloud = self.sim.model();
-        cloud
-            .join_accums
-            .iter()
-            .map(|(&fid, acc)| {
-                let branch_p99_ms = exact_p99(&acc.branch_ms);
-                let join_p99_ms = exact_p99(&acc.join_ms);
-                JoinStats {
-                    function: FunctionId(fid),
-                    fired: acc.fired,
-                    stragglers: acc.stragglers,
-                    branch_samples: acc.branch_ms.len() as u64,
-                    branch_p99_ms,
-                    join_p99_ms,
-                    amplification: if branch_p99_ms > 0.0 {
-                        join_p99_ms / branch_p99_ms
-                    } else {
-                        0.0
-                    },
-                }
-            })
+        (0..self.sim.model().functions.len())
+            .filter_map(|f| self.join_stats(FunctionId(f as u32)))
             .collect()
     }
 
-    /// Per-function conservation counters for requests spawned by the
-    /// fork path (chain hops, fan-out children and fired joins). Every
-    /// spawned request must end up completed or cancelled by the time
-    /// the run drains.
+    /// Conservation counters of every workflow node, in function order,
+    /// for requests spawned by the fork path (chain hops, fan-out
+    /// children and fired joins). Every spawned request must end up
+    /// completed or cancelled by the time the run drains.
     pub fn dag_node_counters(&self) -> Vec<(FunctionId, DagNodeCounters)> {
-        self.sim.model().dag_counters.iter().map(|(&f, &c)| (FunctionId(f), c)).collect()
-    }
-
-    /// Enables recording of *internal* completions (chain hops, fan-out
-    /// children, fired joins) for per-stage reporting. Off by default:
-    /// the main completion stream stays external-only either way, and
-    /// recording draws no randomness, so toggling this cannot change
-    /// simulation results.
-    pub fn record_internal_completions(&mut self, on: bool) {
-        self.sim.model_mut().record_internal = on;
-    }
-
-    /// Enables copying *external* completions into the internal-completion
-    /// buffer too, so per-stage reports can read the root stage when the
-    /// client streams its samples into sketches instead of retaining
-    /// them. Off by default; observational like internal recording.
-    pub fn record_root_completions(&mut self, on: bool) {
-        self.sim.model_mut().record_roots = on;
-    }
-
-    /// Drains internal completions recorded since the last drain (see
-    /// [`CloudSim::record_internal_completions`] and
-    /// [`CloudSim::record_root_completions`]).
-    pub fn drain_internal_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.sim.model_mut().internal_completions)
+        let functions = &self.sim.model().functions;
+        (functions.iter().enumerate())
+            .filter_map(|(f, state)| Some((FunctionId(f as u32), state.node.as_ref()?.counters)))
+            .collect()
     }
 
     /// Whether every DAG side table has drained — true at idle for any
@@ -2782,10 +2746,9 @@ mod tests {
     use simkit::dist::Dist;
     use simkit::time::SimTime;
 
-    use super::CloudSim;
+    use super::{CloudSim, DagNodeCounters};
     use crate::dag::{DagNodeSpec, DagSpec, JoinSpec};
-    use crate::spec::FunctionSpec;
-    use crate::testutil::test_provider;
+    use crate::testutil::{line_spec, test_provider};
     use crate::types::TransferMode;
 
     /// Runs `sim` forward in 50 ms steps until at least `depth` request
@@ -2805,33 +2768,10 @@ mod tests {
     #[test]
     fn deep_chain_cancel_mid_flight_frees_all_hops() {
         let mut sim = CloudSim::new(test_provider(), 7);
-        // Deploy tail-first so each producer can reference its successor.
-        let d = sim.deploy(FunctionSpec::builder("d").exec_constant_ms(400.0).build()).unwrap();
-        let c = sim
-            .deploy(
-                FunctionSpec::builder("c")
-                    .exec_constant_ms(5.0)
-                    .chain(d, TransferMode::Inline, 1024)
-                    .build(),
-            )
-            .unwrap();
-        let b = sim
-            .deploy(
-                FunctionSpec::builder("b")
-                    .exec_constant_ms(5.0)
-                    .chain(c, TransferMode::Inline, 1024)
-                    .build(),
-            )
-            .unwrap();
-        let a = sim
-            .deploy(
-                FunctionSpec::builder("a")
-                    .exec_constant_ms(5.0)
-                    .chain(b, TransferMode::Inline, 1024)
-                    .build(),
-            )
-            .unwrap();
-        let rid = sim.submit(a, 0, SimTime::ZERO);
+        let edges = [(TransferMode::Inline, 1024); 3];
+        let spec = line_spec(&[5.0, 5.0, 5.0, 400.0], &edges);
+        let dep = sim.deploy_dag(&spec.compile().unwrap()).unwrap();
+        let rid = sim.submit(dep.root, 0, SimTime::ZERO);
         // Chain depth 3: a blocked on b blocked on c blocked on d.
         run_until_depth(&mut sim, 4);
         sim.cancel(rid);
@@ -2854,14 +2794,13 @@ mod tests {
     }
 
     /// End-to-end fan-out/fan-in: one submission to the diamond's root
-    /// yields one external completion, one barrier firing, clean tables
-    /// and balanced conservation counters.
+    /// yields one external completion, one stage sample per node, one
+    /// barrier firing, clean tables and balanced conservation counters.
     #[test]
     fn fan_out_join_completes_and_drains() {
         let mut sim = CloudSim::new(test_provider(), 11);
         let plan = diamond().compile().unwrap();
         let dep = sim.deploy_dag(&plan).unwrap();
-        sim.record_internal_completions(true);
         sim.submit(dep.root, 0, SimTime::ZERO);
         sim.run_to_idle();
 
@@ -2871,9 +2810,15 @@ mod tests {
         assert!(done[0].breakdown.chain_ms > 0.0, "fork round trip must be attributed");
 
         // left, right, and the fired merge ran as internal requests.
-        let internal = sim.drain_internal_completions();
-        assert_eq!(internal.len(), 3);
         assert_eq!(sim.stats().internal, 3);
+        for &fid in &dep.functions {
+            let stage = sim.stage_stats(fid).expect("every workflow node has a record");
+            assert_eq!(stage.count, 1);
+            assert_eq!(stage.median_ms, stage.p99_ms);
+        }
+        let root = sim.stage_stats(dep.root).unwrap();
+        let chain_ms = done[0].breakdown.chain_ms;
+        assert_eq!(root.median_ms, done[0].breakdown.total_ms() - chain_ms);
 
         let joins = sim.dag_join_stats();
         assert_eq!(joins.len(), 1);
@@ -2962,18 +2907,13 @@ mod tests {
     }
 
     /// A linear plan's hops run on the fork path like any other edge:
-    /// each hop is spawned and completed through its per-node counters,
-    /// with no barriers and nothing left behind.
+    /// each hop is spawned and completed through its node's counters —
+    /// the root, submitted externally, is never spawned — with no
+    /// barriers and nothing left behind.
     #[test]
     fn linear_plan_hops_spawn_and_complete_per_node() {
-        let mut spec = DagSpec::new("line");
-        for name in ["hop0", "hop1", "hop2"] {
-            spec = spec.node(DagNodeSpec::new(name).exec_ms(Dist::constant(5.0)));
-        }
-        for (from, to) in [("hop0", "hop1"), ("hop1", "hop2")] {
-            spec = spec.edge(from, to, TransferMode::Inline, Dist::constant(1024.0));
-        }
         let mut sim = CloudSim::new(test_provider(), 19);
+        let spec = line_spec(&[5.0, 5.0, 5.0], &[(TransferMode::Inline, 1024); 2]);
         let dep = sim.deploy_dag(&spec.compile().unwrap()).unwrap();
         sim.submit(dep.root, 0, SimTime::ZERO);
         sim.run_to_idle();
@@ -2982,10 +2922,11 @@ mod tests {
         assert!(done[0].is_ok());
         assert_eq!(sim.stats().internal, 2, "two hops");
         let counters = sim.dag_node_counters();
-        assert_eq!(counters.len(), 2, "one entry per hop target");
-        assert!(counters.iter().all(|(fid, _)| dep.functions[1..].contains(fid)));
-        for (_, c) in counters {
-            assert_eq!((c.spawned, c.completed, c.cancelled), (1, 1, 0));
+        assert_eq!(counters.len(), 3, "one entry per workflow node");
+        let hop = DagNodeCounters { spawned: 1, completed: 1, cancelled: 0 };
+        for (node, &fid) in dep.functions.iter().enumerate() {
+            let expected = if node == 0 { DagNodeCounters::default() } else { hop };
+            assert!(counters.contains(&(fid, expected)), "hop{node}: {counters:?}");
         }
         assert!(sim.dag_join_stats().is_empty());
         assert!(sim.dag_tables_empty());

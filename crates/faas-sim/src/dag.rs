@@ -1,5 +1,4 @@
-//! DAG workflow specifications: fan-out/fan-in generalisation of the
-//! linear [`crate::spec::ChainSpec`].
+//! DAG workflow specifications: chains, fan-outs and fan-ins.
 //!
 //! A [`DagSpec`] names its nodes and wires them with per-edge transfer
 //! modes and payload-size distributions; fan-in nodes carry a
@@ -9,10 +8,10 @@
 //! naming the offending nodes) and lowers it into a dense node-indexed
 //! [`DagPlan`] that [`crate::cloud::CloudSim::deploy_dag`] consumes.
 //!
-//! At run time every edge takes the cloud's one fork path, and a
-//! `ChainSpec` hop is simply a one-edge DAG: a linear plan with constant
-//! payloads (a constant payload draws nothing) runs byte-identical to the
-//! equivalent chain of `ChainSpec` functions.
+//! A workflow is the only way to wire an edge between functions, and
+//! every edge takes the cloud's one fork path. A chain is a linear plan
+//! with constant payloads (a constant payload draws nothing); the core
+//! deployer lowers a `ChainConfig` to one.
 
 use serde::{Deserialize, Serialize};
 use simkit::dist::Dist;

@@ -3,14 +3,14 @@
 use serde::{Deserialize, Serialize};
 use simkit::dist::Dist;
 
-use crate::types::{DeploymentMethod, FunctionId, Runtime, TransferMode};
+use crate::types::{DeploymentMethod, Runtime};
 
 /// Specification of a deployable function.
 ///
 /// Mirrors STeLLAR's *static function configuration* (paper §IV): runtime,
 /// deployment method, memory size, effective image size (base + an added
-/// random-content file), execution-time model and an optional chain link to
-/// a downstream function.
+/// random-content file) and execution-time model. Edges between functions
+/// come from a workflow ([`crate::cloud::CloudSim::deploy_dag`]).
 ///
 /// Build with [`FunctionSpec::builder`]:
 ///
@@ -43,25 +43,12 @@ pub struct FunctionSpec {
     pub extra_image_mb: f64,
     /// Execution ("busy-spin") time model, ms.
     pub exec_ms: Dist,
-    /// Optional downstream chain hop performed after execution.
-    pub chain: Option<ChainSpec>,
-}
-
-/// One chain hop: invoke `next` with a payload over `mode`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChainSpec {
-    /// The function to invoke (must already be deployed).
-    pub next: FunctionId,
-    /// Payload transport.
-    pub mode: TransferMode,
-    /// Payload size in bytes.
-    pub payload_bytes: u64,
 }
 
 impl FunctionSpec {
     /// Starts building a spec with paper-default settings: Python 3, ZIP
     /// deployment, 2048 MB memory, no extra image payload, immediate
-    /// return, no chain.
+    /// return.
     pub fn builder<S: Into<String>>(name: S) -> FunctionSpecBuilder {
         FunctionSpecBuilder {
             spec: FunctionSpec {
@@ -71,7 +58,6 @@ impl FunctionSpec {
                 memory_mb: 2048,
                 extra_image_mb: 0.0,
                 exec_ms: Dist::constant(0.0),
-                chain: None,
             },
         }
     }
@@ -91,21 +77,7 @@ impl FunctionSpec {
         if !self.extra_image_mb.is_finite() || self.extra_image_mb < 0.0 {
             return Err(format!("{}: invalid extra_image_mb {}", self.name, self.extra_image_mb));
         }
-        self.exec_ms.validate().map_err(|e| format!("{}: exec_ms: {e}", self.name))?;
-        if let Some(chain) = &self.chain {
-            if chain.payload_bytes == 0 {
-                return Err(format!("{}: chained payload must be non-empty", self.name));
-            }
-            // The hop deploys as a constant `f64` payload edge, exact up
-            // to 2^53 bytes.
-            if chain.payload_bytes > 1 << f64::MANTISSA_DIGITS {
-                return Err(format!(
-                    "{}: chained payload of {} bytes exceeds 2^53",
-                    self.name, chain.payload_bytes
-                ));
-            }
-        }
-        Ok(())
+        self.exec_ms.validate().map_err(|e| format!("{}: exec_ms: {e}", self.name))
     }
 }
 
@@ -153,12 +125,6 @@ impl FunctionSpecBuilder {
         self
     }
 
-    /// Chains this function to `next` with the given transport and payload.
-    pub fn chain(mut self, next: FunctionId, mode: TransferMode, payload_bytes: u64) -> Self {
-        self.spec.chain = Some(ChainSpec { next, mode, payload_bytes });
-        self
-    }
-
     /// Finishes the build.
     ///
     /// # Panics
@@ -191,7 +157,6 @@ mod tests {
         assert_eq!(spec.deployment, DeploymentMethod::Zip);
         assert_eq!(spec.memory_mb, 2048);
         assert_eq!(spec.extra_image_mb, 0.0);
-        assert!(spec.chain.is_none());
     }
 
     #[test]
@@ -210,34 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_builder() {
-        let consumer_id = FunctionId(1);
-        let spec = FunctionSpec::builder("producer")
-            .chain(consumer_id, TransferMode::Storage, 1_000_000)
-            .build();
-        let chain = spec.chain.unwrap();
-        assert_eq!(chain.next, consumer_id);
-        assert_eq!(chain.mode, TransferMode::Storage);
-        assert_eq!(chain.payload_bytes, 1_000_000);
-    }
-
-    #[test]
     fn validation_catches_problems() {
         assert!(FunctionSpec::builder("").try_build().is_err());
         assert!(FunctionSpec::builder("f").memory_mb(0).try_build().is_err());
         assert!(FunctionSpec::builder("f").extra_image_mb(-1.0).try_build().is_err());
-        assert!(FunctionSpec::builder("f")
-            .chain(FunctionId(0), TransferMode::Inline, 0)
-            .try_build()
-            .is_err());
-        assert!(FunctionSpec::builder("f")
-            .chain(FunctionId(0), TransferMode::Storage, (1 << 53) + 1)
-            .try_build()
-            .is_err());
-        assert!(FunctionSpec::builder("f")
-            .chain(FunctionId(0), TransferMode::Storage, 1 << 53)
-            .try_build()
-            .is_ok());
     }
 
     #[test]
@@ -249,7 +190,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let spec =
-            FunctionSpec::builder("h").chain(FunctionId(2), TransferMode::Inline, 1024).build();
+            FunctionSpec::builder("h").exec_ms(Dist::lognormal_median_p99(10.0, 50.0)).build();
         let json = serde_json::to_string(&spec).unwrap();
         let back: FunctionSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);

@@ -1,4 +1,5 @@
-//! Test utilities: a small, fast, deliberately *uncalibrated* provider.
+//! Test utilities: a small, fast, deliberately *uncalibrated* provider,
+//! and a linear workflow builder.
 //!
 //! Unit and integration tests need a provider whose numbers are easy to
 //! reason about; the calibrated profiles live in the `providers` crate.
@@ -10,6 +11,8 @@ use crate::config::{
     LimitsConfig, NetworkConfig, PathShares, PayloadStoreConfig, ProviderConfig, RuntimeModel,
     RuntimeTable, ScalePolicy, ScalingConfig, WarmPathConfig,
 };
+use crate::dag::{DagNodeSpec, DagSpec};
+use crate::types::TransferMode;
 
 /// A deterministic-ish provider with round numbers: 10 ms propagation,
 /// 20 ms warm overhead, ~200 ms cold start, 100 MB/s everywhere,
@@ -70,4 +73,20 @@ pub fn test_provider() -> ProviderConfig {
         keepalive: KeepAliveConfig { idle_timeout_ms: Dist::constant(60_000.0) },
         limits: LimitsConfig { max_instances_per_function: 10_000, full_speed_memory_mb: 1024 },
     }
+}
+
+/// A linear workflow `hop0 -> hop1 -> …`: one default node per entry of
+/// `exec_ms`, and the edge out of `hop{i}` carrying a constant payload of
+/// `edges[i].1` bytes over `edges[i].0` (`edges` has one entry fewer than
+/// `exec_ms`).
+pub fn line_spec(exec_ms: &[f64], edges: &[(TransferMode, u64)]) -> DagSpec {
+    let mut spec = DagSpec::new("line");
+    for (i, &ms) in exec_ms.iter().enumerate() {
+        spec = spec.node(DagNodeSpec::new(format!("hop{i}")).exec_ms(Dist::constant(ms)));
+    }
+    for (i, &(mode, bytes)) in edges.iter().enumerate() {
+        let (from, to) = (format!("hop{i}"), format!("hop{}", i + 1));
+        spec = spec.edge(from, to, mode, Dist::constant(bytes as f64));
+    }
+    spec
 }

@@ -4,12 +4,24 @@
 use faas_sim::cloud::{CloudSim, DeployError};
 use faas_sim::config::{ProviderConfig, ScalePolicy};
 use faas_sim::spec::FunctionSpec;
-use faas_sim::testutil::test_provider;
+use faas_sim::testutil::{line_spec, test_provider};
 use faas_sim::types::{FunctionId, Runtime, TransferMode, MB};
 use simkit::dist::Dist;
 use simkit::time::SimTime;
 
 const SEC: fn(f64) -> SimTime = SimTime::from_secs;
+
+/// Deploys a producer -> consumer pair passing `bytes` over `mode`;
+/// returns (producer, consumer).
+fn deploy_pair(
+    cloud: &mut CloudSim,
+    exec_ms: [f64; 2],
+    mode: TransferMode,
+    bytes: u64,
+) -> Result<(FunctionId, FunctionId), DeployError> {
+    let dep = cloud.deploy_dag(&line_spec(&exec_ms, &[(mode, bytes)]).compile().unwrap())?;
+    Ok((dep.root, dep.functions[1]))
+}
 
 fn run_one(cloud: &mut CloudSim, f: FunctionId, at: SimTime) -> faas_sim::Completion {
     cloud.submit(f, 0, at);
@@ -165,12 +177,7 @@ fn periodic_policy_scales_slowly_and_queues_deeply() {
 #[test]
 fn inline_chain_transfers_payload() {
     let mut cloud = CloudSim::new(test_provider(), 9);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let producer = cloud
-        .deploy(
-            FunctionSpec::builder("producer").chain(consumer, TransferMode::Inline, 2 * MB).build(),
-        )
-        .unwrap();
+    let (producer, _) = deploy_pair(&mut cloud, [0.0; 2], TransferMode::Inline, 2 * MB).unwrap();
     let done = run_one(&mut cloud, producer, SimTime::ZERO);
     assert!(done.breakdown.chain_ms > 0.0, "chain time recorded");
     let transfers = cloud.drain_transfers();
@@ -188,14 +195,7 @@ fn inline_chain_transfers_payload() {
 #[test]
 fn storage_chain_pays_put_and_get() {
     let mut cloud = CloudSim::new(test_provider(), 10);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let producer = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Storage, 10 * MB)
-                .build(),
-        )
-        .unwrap();
+    let (producer, _) = deploy_pair(&mut cloud, [0.0; 2], TransferMode::Storage, 10 * MB).unwrap();
     // Warm both functions first so the transfer sample is warm-path only.
     let _ = run_one(&mut cloud, producer, SimTime::ZERO);
     cloud.drain_transfers();
@@ -212,36 +212,69 @@ fn storage_chain_pays_put_and_get() {
 #[test]
 fn inline_payload_over_limit_is_rejected() {
     let mut cloud = CloudSim::new(test_provider(), 11);
-    let consumer = cloud.deploy(FunctionSpec::builder("consumer").build()).unwrap();
-    let err = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Inline, 100 * MB)
-                .build(),
-        )
-        .unwrap_err();
+    let err = deploy_pair(&mut cloud, [0.0; 2], TransferMode::Inline, 100 * MB).unwrap_err();
     assert!(matches!(err, DeployError::InlinePayloadTooLarge { .. }));
-    // Storage transfers have no such limit.
-    assert!(cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(consumer, TransferMode::Storage, 100 * MB)
-                .build(),
-        )
-        .is_ok());
+    // The rejected workflow left nothing behind, and storage transfers
+    // have no such limit.
+    let (producer, _) = deploy_pair(&mut cloud, [0.0; 2], TransferMode::Storage, 100 * MB).unwrap();
+    assert_eq!(producer.index(), 1, "consumer 0, producer 1");
 }
 
+/// An edge may only lead to a function of its own workflow: one into a
+/// function the workflow does not define is rejected before deploy.
 #[test]
 fn chain_to_unknown_function_is_rejected() {
+    let spec =
+        line_spec(&[0.0], &[]).edge("hop0", "hop1", TransferMode::Inline, Dist::constant(1024.0));
+    let err = spec.compile().unwrap_err();
+    assert!(err.contains("edge to unknown node 'hop1'"), "{err}");
+}
+
+/// Every node of a workflow books the stage latency (`total − chain`) of
+/// each successful completion; a function outside a workflow books none.
+#[test]
+fn stage_stats_cover_every_workflow_node() {
     let mut cloud = CloudSim::new(test_provider(), 12);
-    let err = cloud
-        .deploy(
-            FunctionSpec::builder("producer")
-                .chain(FunctionId::from_raw_for_tests(7), TransferMode::Inline, 1024)
-                .build(),
-        )
-        .unwrap_err();
-    assert!(matches!(err, DeployError::UnknownChainTarget(_)));
+    let plain = cloud.deploy(FunctionSpec::builder("plain").build()).unwrap();
+    let edges = [(TransferMode::Inline, 1024), (TransferMode::Storage, 1024)];
+    let spec = line_spec(&[5.0, 10.0, 20.0], &edges);
+    let dep = cloud.deploy_dag(&spec.compile().unwrap()).unwrap();
+    for i in 0..4u32 {
+        cloud.submit(dep.root, u64::from(i), SEC(30.0 * f64::from(i)));
+        cloud.submit(plain, u64::from(i), SEC(30.0 * f64::from(i)));
+    }
+    cloud.run_to_idle();
+    let done = cloud.drain_completions();
+    assert_eq!(done.len(), 8, "internal hops are not external completions");
+    assert!(done.iter().all(|c| c.is_ok()));
+
+    assert_eq!(cloud.stage_stats(plain), None);
+    assert_eq!(cloud.join_stats(plain), None);
+    for (&f, exec_ms) in dep.functions.iter().zip([5.0, 10.0, 20.0]) {
+        let stage = cloud.stage_stats(f).expect("every workflow node has a record");
+        assert_eq!(stage.count, 4);
+        assert!(stage.median_ms >= exec_ms, "stage {} < exec {exec_ms}", stage.median_ms);
+        assert!(stage.p99_ms >= stage.median_ms);
+        assert_eq!(cloud.join_stats(f), None, "a line has no join");
+    }
+
+    // The root's stage latencies are its external completions' totals
+    // minus their downstream round trips (nearest rank of 4: the 2nd and
+    // the 4th).
+    let mut root_ms: Vec<f64> = (done.iter().filter(|c| c.function == dep.root))
+        .map(|c| c.breakdown.total_ms() - c.breakdown.chain_ms)
+        .collect();
+    root_ms.sort_by(f64::total_cmp);
+    let root = cloud.stage_stats(dep.root).unwrap();
+    assert_eq!((root.median_ms, root.p99_ms), (root_ms[1], root_ms[3]));
+
+    // Only the downstream hops are spawned by the fork path.
+    let counters = cloud.dag_node_counters();
+    assert_eq!(counters.len(), 3, "plain has no node record");
+    for (f, c) in counters {
+        let spawned = if f == dep.root { 0 } else { 4 };
+        assert_eq!((c.spawned, c.completed, c.cancelled), (spawned, spawned, 0), "{f:?}");
+    }
 }
 
 #[test]
@@ -513,15 +546,7 @@ fn cancel_after_completion_is_a_noop() {
 #[test]
 fn cancel_cascades_into_an_in_flight_chain_hop() {
     let mut cloud = CloudSim::new(test_provider(), 14);
-    let g = cloud.deploy(FunctionSpec::builder("g").exec_constant_ms(2_000.0).build()).unwrap();
-    let f = cloud
-        .deploy(
-            FunctionSpec::builder("f")
-                .exec_constant_ms(10.0)
-                .chain(g, TransferMode::Inline, 1_000)
-                .build(),
-        )
-        .unwrap();
+    let (f, g) = deploy_pair(&mut cloud, [10.0, 2_000.0], TransferMode::Inline, 1_000).unwrap();
     let rid = cloud.submit(f, 0, SimTime::ZERO);
     // By 1.5s the producer finished its own compute and is waiting on the
     // consumer, which is mid-execution.

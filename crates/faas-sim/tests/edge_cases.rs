@@ -5,7 +5,7 @@
 use faas_sim::cloud::CloudSim;
 use faas_sim::config::{ProviderConfig, ScalePolicy};
 use faas_sim::spec::FunctionSpec;
-use faas_sim::testutil::test_provider;
+use faas_sim::testutil::{line_spec, test_provider};
 use faas_sim::types::{FunctionId, Runtime, TransferMode, MB};
 use simkit::dist::Dist;
 use simkit::time::SimTime;
@@ -145,10 +145,8 @@ fn dispatch_wait_shows_up_in_breakdown() {
 #[test]
 fn internal_requests_skip_propagation() {
     let mut cloud = CloudSim::new(test_provider(), 7);
-    let consumer = cloud.deploy(FunctionSpec::builder("c").build()).unwrap();
-    let producer = cloud
-        .deploy(FunctionSpec::builder("p").chain(consumer, TransferMode::Inline, MB).build())
-        .unwrap();
+    let spec = line_spec(&[0.0, 0.0], &[(TransferMode::Inline, MB)]);
+    let producer = cloud.deploy_dag(&spec.compile().unwrap()).unwrap().root;
     cloud.submit(producer, 0, SimTime::ZERO);
     cloud.run_until(SEC(30.0));
     let done = cloud.drain_completions();
@@ -168,16 +166,12 @@ fn internal_requests_skip_propagation() {
 fn deep_chain_accumulates_transfers_in_order() {
     let mut cloud = CloudSim::new(test_provider(), 8);
     // Four-hop chain: a -> b -> c -> d.
-    let d = cloud.deploy(FunctionSpec::builder("d").build()).unwrap();
-    let c = cloud
-        .deploy(FunctionSpec::builder("c").chain(d, TransferMode::Inline, 10_000).build())
-        .unwrap();
-    let b = cloud
-        .deploy(FunctionSpec::builder("b").chain(c, TransferMode::Storage, 500_000).build())
-        .unwrap();
-    let a = cloud
-        .deploy(FunctionSpec::builder("a").chain(b, TransferMode::Inline, MB).build())
-        .unwrap();
+    let edges = [
+        (TransferMode::Inline, MB),
+        (TransferMode::Storage, 500_000),
+        (TransferMode::Inline, 10_000),
+    ];
+    let a = cloud.deploy_dag(&line_spec(&[0.0; 4], &edges).compile().unwrap()).unwrap().root;
     cloud.submit(a, 0, SimTime::ZERO);
     cloud.run_until(SEC(60.0));
     let done = cloud.drain_completions();

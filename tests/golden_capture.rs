@@ -453,7 +453,6 @@ fn chain_pin(runtime: &RuntimeConfig, app: Option<faas_sim::dag::DagSpec>) -> St
         Some(spec) => {
             let plan = spec.compile().unwrap();
             let dep = cloud.deploy_dag(&plan).unwrap();
-            cloud.record_internal_completions(true);
             Deployment {
                 endpoints: vec![Endpoint {
                     url: format!("https://{}.sim/{}", provider.name, plan.name),

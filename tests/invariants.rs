@@ -3,7 +3,7 @@
 
 use faas_sim::cloud::CloudSim;
 use faas_sim::spec::FunctionSpec;
-use faas_sim::testutil::test_provider;
+use faas_sim::testutil::{line_spec, test_provider};
 use faas_sim::types::TransferMode;
 use proptest::prelude::*;
 use providers::profiles::{aws_like, azure_like, google_like};
@@ -79,10 +79,8 @@ proptest! {
         requests in 1u32..15,
     ) {
         let mut cloud = CloudSim::new(test_provider(), seed);
-        let consumer = cloud.deploy(FunctionSpec::builder("c").build()).unwrap();
-        let producer = cloud
-            .deploy(FunctionSpec::builder("p").chain(consumer, mode, payload).build())
-            .unwrap();
+        let spec = line_spec(&[0.0, 0.0], &[(mode, payload)]);
+        let producer = cloud.deploy_dag(&spec.compile().unwrap()).unwrap().root;
         for i in 0..requests {
             cloud.submit(producer, u64::from(i), SimTime::from_secs(f64::from(i)));
         }
