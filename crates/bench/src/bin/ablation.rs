@@ -2,6 +2,6 @@
 //! optimisation space) and mechanism knockouts.
 
 fn main() {
-    let seed = 20210711;
-    println!("{}", bench::experiments::ablation::report(seed).render());
+    let report = bench::experiments::ablation::report(bench::report::BASE_SEED);
+    println!("{}", report.render());
 }

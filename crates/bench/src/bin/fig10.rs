@@ -2,11 +2,8 @@
 //! overrides the synthetic trace size.
 
 fn main() {
-    let functions = std::env::args()
-        .skip_while(|a| a != "--functions")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(bench::experiments::fig10::TRACE_FUNCTIONS);
+    let functions =
+        bench::report::positive_arg("--functions", bench::experiments::fig10::TRACE_FUNCTIONS);
     let report = bench::experiments::fig10::measure(functions).report();
     println!("{}", report.render());
 }

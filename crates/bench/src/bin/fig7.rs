@@ -2,12 +2,6 @@
 //! default 3000-sample methodology (§V).
 
 fn main() {
-    let samples = bench::report::PAPER_SAMPLES;
-    let samples = std::env::args()
-        .skip_while(|a| a != "--samples")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(samples);
-    let report = bench::experiments::fig7::measure(samples).report();
+    let report = bench::experiments::fig7::measure(bench::report::samples_arg()).report();
     println!("{}", report.render());
 }

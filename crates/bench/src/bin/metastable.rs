@@ -4,12 +4,6 @@
 //! methodology (§V).
 
 fn main() {
-    let samples = bench::report::PAPER_SAMPLES;
-    let samples = std::env::args()
-        .skip_while(|a| a != "--samples")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(samples);
-    let report = bench::experiments::metastable::measure(samples).report();
+    let report = bench::experiments::metastable::measure(bench::report::samples_arg()).report();
     println!("{}", report.render());
 }

@@ -15,8 +15,7 @@ fn arg_after(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let samples =
-        arg_after("--samples").and_then(|s| s.parse().ok()).unwrap_or(bench::report::PAPER_SAMPLES);
+    let samples = bench::report::samples_arg();
     println!("# STeLLAR reproduction — paper vs measured");
     println!();
     println!(

@@ -5,6 +5,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::{cold_invocations, warm_invocations, ColdSetup};
+use stellar_core::runner::SweepRunner;
 use stellar_core::visualize::{render_comparison, Series};
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
@@ -20,36 +21,24 @@ pub struct Fig3 {
 
 /// Runs both halves of Fig 3 (providers in parallel).
 pub fn measure(samples: u32) -> Fig3 {
-    let mut warm = Vec::new();
-    let mut cold = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .map(|&kind| {
-                scope.spawn(move |_| {
-                    let w = warm_invocations(config_for(kind), samples, BASE_SEED + 1)
-                        .expect("warm run")
-                        .latencies_ms();
-                    let c = cold_invocations(
-                        config_for(kind),
-                        ColdSetup::baseline(),
-                        samples,
-                        100,
-                        BASE_SEED + 2,
-                    )
-                    .expect("cold run")
-                    .latencies_ms();
-                    (kind, w, c)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (kind, w, c) = handle.join().expect("experiment thread");
-            warm.push((kind, w));
-            cold.push((kind, c));
-        }
-    })
-    .expect("scope");
+    let (warm, cold) = SweepRunner::default()
+        .map(&ProviderKind::ALL, |&kind| {
+            let w = warm_invocations(config_for(kind), samples, BASE_SEED + 1)
+                .expect("warm run")
+                .latencies_ms();
+            let c = cold_invocations(
+                config_for(kind),
+                ColdSetup::baseline(),
+                samples,
+                100,
+                BASE_SEED + 2,
+            )
+            .expect("cold run")
+            .latencies_ms();
+            ((kind, w), (kind, c))
+        })
+        .into_iter()
+        .unzip();
     Fig3 { warm, cold }
 }
 

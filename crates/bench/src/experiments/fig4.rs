@@ -6,6 +6,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::{cold_invocations, ColdSetup};
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
 
@@ -21,35 +22,21 @@ pub struct Fig4 {
 
 /// Runs the sweep (providers in parallel, Go + ZIP as in the paper).
 pub fn measure(samples: u32) -> Fig4 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| SIZES_MB.iter().map(move |&mb| (kind, mb)))
-            .map(|(kind, mb)| {
-                scope.spawn(move |_| {
-                    let setup = ColdSetup {
-                        runtime: Runtime::Go,
-                        deployment: DeploymentMethod::Zip,
-                        extra_image_mb: mb,
-                    };
-                    let out = cold_invocations(
-                        config_for(kind),
-                        setup,
-                        samples,
-                        100,
-                        BASE_SEED + 3 + mb as u64,
-                    )
-                    .expect("image-size run");
-                    (kind, mb, out.latencies_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, f64)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| SIZES_MB.iter().map(move |&mb| (kind, mb)))
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, mb)| {
+        let setup = ColdSetup {
+            runtime: Runtime::Go,
+            deployment: DeploymentMethod::Zip,
+            extra_image_mb: mb,
+        };
+        let out =
+            cold_invocations(config_for(kind), setup, samples, 100, BASE_SEED + 3 + mb as u64)
+                .expect("image-size run");
+        (kind, mb, out.latencies_ms())
+    });
     Fig4 { cells }
 }
 

@@ -6,6 +6,7 @@ use providers::paper::{fig5_aws, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::{cold_invocations, ColdSetup};
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
 
@@ -26,31 +27,20 @@ pub struct Fig5 {
 
 /// Runs the four combinations on the AWS-like provider, in parallel.
 pub fn measure(samples: u32) -> Fig5 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = COMBOS
-            .iter()
-            .enumerate()
-            .map(|(i, &(runtime, deployment))| {
-                scope.spawn(move |_| {
-                    let setup = ColdSetup { runtime, deployment, extra_image_mb: 0.0 };
-                    let out = cold_invocations(
-                        config_for(ProviderKind::Aws),
-                        setup,
-                        samples,
-                        100,
-                        BASE_SEED + 10 + i as u64,
-                    )
-                    .expect("fig5 run");
-                    (runtime, deployment, out.latencies_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let combos: Vec<(usize, (Runtime, DeploymentMethod))> =
+        COMBOS.into_iter().enumerate().collect();
+    let cells = SweepRunner::default().map(&combos, |&(i, (runtime, deployment))| {
+        let setup = ColdSetup { runtime, deployment, extra_image_mb: 0.0 };
+        let out = cold_invocations(
+            config_for(ProviderKind::Aws),
+            setup,
+            samples,
+            100,
+            BASE_SEED + 10 + i as u64,
+        )
+        .expect("fig5 run");
+        (runtime, deployment, out.latencies_ms())
+    });
     Fig5 { cells }
 }
 

@@ -6,6 +6,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::transfer_chain;
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
 
@@ -31,30 +32,14 @@ pub struct Fig6 {
 
 /// Runs the sweep in parallel.
 pub fn measure(samples: u32) -> Fig6 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = PROVIDERS
-            .iter()
-            .flat_map(|&kind| SIZES.iter().map(move |&bytes| (kind, bytes)))
-            .map(|(kind, bytes)| {
-                scope.spawn(move |_| {
-                    let out = transfer_chain(
-                        config_for(kind),
-                        TransferMode::Inline,
-                        bytes,
-                        samples,
-                        BASE_SEED + 20,
-                    )
-                    .expect("inline transfer run");
-                    (kind, bytes, out.result.transfer_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, u64)> =
+        PROVIDERS.iter().flat_map(|&kind| SIZES.iter().map(move |&bytes| (kind, bytes))).collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, bytes)| {
+        let out =
+            transfer_chain(config_for(kind), TransferMode::Inline, bytes, samples, BASE_SEED + 20)
+                .expect("inline transfer run");
+        (kind, bytes, out.result.transfer_ms())
+    });
     Fig6 { cells }
 }
 

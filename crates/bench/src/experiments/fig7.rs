@@ -6,6 +6,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::transfer_chain;
+use stellar_core::runner::SweepRunner;
 
 use crate::experiments::fig6::fmt_bytes;
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
@@ -32,31 +33,14 @@ pub struct Fig7 {
 /// Runs the sweep in parallel. Sample counts shrink for the huge payloads
 /// (the paper's client would need days of wall-clock for 3000 × 1 GB).
 pub fn measure(samples: u32) -> Fig7 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = PROVIDERS
-            .iter()
-            .flat_map(|&kind| SIZES.iter().map(move |&bytes| (kind, bytes)))
-            .map(|(kind, bytes)| {
-                scope.spawn(move |_| {
-                    let n = if bytes >= 100 * MB { samples.min(500) } else { samples };
-                    let out = transfer_chain(
-                        config_for(kind),
-                        TransferMode::Storage,
-                        bytes,
-                        n,
-                        BASE_SEED + 30,
-                    )
-                    .expect("storage transfer run");
-                    (kind, bytes, out.result.transfer_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, u64)> =
+        PROVIDERS.iter().flat_map(|&kind| SIZES.iter().map(move |&bytes| (kind, bytes))).collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, bytes)| {
+        let n = if bytes >= 100 * MB { samples.min(500) } else { samples };
+        let out = transfer_chain(config_for(kind), TransferMode::Storage, bytes, n, BASE_SEED + 30)
+            .expect("storage transfer run");
+        (kind, bytes, out.result.transfer_ms())
+    });
     Fig7 { cells }
 }
 

@@ -5,6 +5,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::{bursty_invocations, BurstIat};
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
 
@@ -24,39 +25,30 @@ pub struct Fig8 {
 
 /// Runs the full grid (3 providers × 2 regimes × burst sizes) in parallel.
 pub fn measure(samples: u32) -> Fig8 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| {
-                [BurstIat::Short, BurstIat::Long]
-                    .into_iter()
-                    .flat_map(move |iat| BURSTS.iter().map(move |&b| (kind, iat, b)))
-            })
-            .map(|(kind, iat, burst)| {
-                scope.spawn(move |_| {
-                    // Keep round counts sensible: at least 10 rounds per
-                    // configuration, at most `samples` per cell for burst 1.
-                    let n = samples.max(burst * 10);
-                    let out = bursty_invocations(
-                        config_for(kind),
-                        iat,
-                        burst,
-                        0.0,
-                        n,
-                        LONG_REPLICAS,
-                        BASE_SEED + 40 + burst as u64,
-                    )
-                    .expect("burst run");
-                    (kind, iat, burst, out.latencies_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, BurstIat, u32)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            [BurstIat::Short, BurstIat::Long]
+                .into_iter()
+                .flat_map(move |iat| BURSTS.iter().map(move |&b| (kind, iat, b)))
+        })
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, iat, burst)| {
+        // Keep round counts sensible: at least 10 rounds per
+        // configuration, at most `samples` per cell for burst 1.
+        let n = samples.max(burst * 10);
+        let out = bursty_invocations(
+            config_for(kind),
+            iat,
+            burst,
+            0.0,
+            n,
+            LONG_REPLICAS,
+            BASE_SEED + 40 + burst as u64,
+        )
+        .expect("burst run");
+        (kind, iat, burst, out.latencies_ms())
+    });
     Fig8 { cells }
 }
 

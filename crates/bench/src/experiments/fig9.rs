@@ -5,6 +5,7 @@ use providers::paper::{self, ProviderKind};
 use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::protocols::{bursty_invocations, BurstIat};
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{comparison_table, Comparison, Report, BASE_SEED};
 
@@ -21,33 +22,24 @@ pub struct Fig9 {
 
 /// Runs the four-cell grid in parallel.
 pub fn measure(samples: u32) -> Fig9 {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| [1u32, 100].into_iter().map(move |b| (kind, b)))
-            .map(|(kind, burst)| {
-                scope.spawn(move |_| {
-                    let n = samples.max(burst * 10);
-                    let out = bursty_invocations(
-                        config_for(kind),
-                        BurstIat::Long,
-                        burst,
-                        EXEC_MS,
-                        n,
-                        3,
-                        BASE_SEED + 50 + burst as u64,
-                    )
-                    .expect("fig9 run");
-                    (kind, burst, out.latencies_ms())
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, u32)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| [1u32, 100].into_iter().map(move |b| (kind, b)))
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, burst)| {
+        let n = samples.max(burst * 10);
+        let out = bursty_invocations(
+            config_for(kind),
+            BurstIat::Long,
+            burst,
+            EXEC_MS,
+            n,
+            3,
+            BASE_SEED + 50 + burst as u64,
+        )
+        .expect("fig9 run");
+        (kind, burst, out.latencies_ms())
+    });
     Fig9 { cells }
 }
 

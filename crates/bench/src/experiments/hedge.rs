@@ -16,6 +16,7 @@ use providers::paper::ProviderKind;
 use providers::profiles::config_for;
 use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
 use stellar_core::experiment::{Experiment, Outcome};
+use stellar_core::runner::SweepRunner;
 
 use crate::experiments::mmpp::Shape;
 use crate::report::{Report, BASE_SEED};
@@ -91,21 +92,14 @@ fn run_cell(kind: ProviderKind, shape: Shape, policy: HedgePolicy, samples: u32)
 
 /// Runs the provider × shape × policy grid in parallel.
 pub fn measure(samples: u32) -> HedgeFrontier {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| Shape::ALL.into_iter().map(move |s| (kind, s)))
-            .flat_map(|(kind, shape)| HedgePolicy::ALL.into_iter().map(move |p| (kind, shape, p)))
-            .map(|(kind, shape, policy)| {
-                scope.spawn(move |_| (kind, shape, policy, run_cell(kind, shape, policy, samples)))
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, Shape, HedgePolicy)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| Shape::ALL.into_iter().map(move |s| (kind, s)))
+        .flat_map(|(kind, shape)| HedgePolicy::ALL.into_iter().map(move |p| (kind, shape, p)))
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, shape, policy)| {
+        (kind, shape, policy, run_cell(kind, shape, policy, samples))
+    });
     HedgeFrontier { cells }
 }
 

@@ -21,6 +21,7 @@ use providers::paper::ProviderKind;
 use providers::profiles::config_for;
 use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
 use stellar_core::experiment::{Experiment, Outcome};
+use stellar_core::runner::SweepRunner;
 
 use crate::experiments::mmpp::Shape;
 use crate::report::{Report, BASE_SEED};
@@ -150,20 +151,13 @@ fn run_cell(shape: Shape, mitigation: Mitigation, samples: u32) -> Outcome {
 
 /// Runs the shape × mitigation grid in parallel.
 pub fn measure(samples: u32) -> MetastableStorm {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = Shape::ALL
-            .into_iter()
-            .flat_map(|s| Mitigation::ALL.into_iter().map(move |m| (s, m)))
-            .map(|(shape, mitigation)| {
-                scope.spawn(move |_| (shape, mitigation, run_cell(shape, mitigation, samples)))
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(Shape, Mitigation)> = Shape::ALL
+        .into_iter()
+        .flat_map(|s| Mitigation::ALL.into_iter().map(move |m| (s, m)))
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(shape, mitigation)| {
+        (shape, mitigation, run_cell(shape, mitigation, samples))
+    });
     MetastableStorm { cells }
 }
 

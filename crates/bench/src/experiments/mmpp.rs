@@ -9,6 +9,7 @@ use providers::profiles::config_for;
 use stats::summary::Summary;
 use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
 use stellar_core::experiment::{Experiment, Outcome};
+use stellar_core::runner::SweepRunner;
 use workload::spec::{ArrivalSpec, WorkloadSpec};
 
 use crate::report::{Report, BASE_SEED};
@@ -83,20 +84,12 @@ fn run_cell(kind: ProviderKind, shape: Shape, samples: u32) -> Outcome {
 
 /// Runs the provider × shape grid in parallel.
 pub fn measure(samples: u32) -> MmppAmplification {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| Shape::ALL.into_iter().map(move |s| (kind, s)))
-            .map(|(kind, shape)| {
-                scope.spawn(move |_| (kind, shape, run_cell(kind, shape, samples)))
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, Shape)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| Shape::ALL.into_iter().map(move |s| (kind, s)))
+        .collect();
+    let cells = SweepRunner::default()
+        .map(&cells, |&(kind, shape)| (kind, shape, run_cell(kind, shape, samples)));
     MmppAmplification { cells }
 }
 

@@ -30,6 +30,7 @@ use providers::paper::ProviderKind;
 use providers::profiles::config_for;
 use stellar_core::config::{IatSpec, RuntimeConfig};
 use stellar_core::experiment::{Experiment, Outcome};
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{Report, BASE_SEED};
 
@@ -93,26 +94,17 @@ fn run_cell(kind: ProviderKind, width: u32, hedged: bool, samples: u32) -> Outco
 
 /// Runs the provider × width × policy grid in parallel.
 pub fn measure(samples: u32) -> StragglerScaling {
-    let mut cells = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .flat_map(|&kind| WIDTHS.into_iter().map(move |w| (kind, w)))
-            .flat_map(|(kind, width)| [false, true].into_iter().map(move |h| (kind, width, h)))
-            .map(|(kind, width, hedged)| {
-                scope.spawn(move |_| StragglerCell {
-                    kind,
-                    width,
-                    hedged,
-                    outcome: run_cell(kind, width, hedged, samples),
-                })
-            })
-            .collect();
-        for handle in handles {
-            cells.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
+    let cells: Vec<(ProviderKind, u32, bool)> = ProviderKind::ALL
+        .iter()
+        .flat_map(|&kind| WIDTHS.into_iter().map(move |w| (kind, w)))
+        .flat_map(|(kind, width)| [false, true].into_iter().map(move |h| (kind, width, h)))
+        .collect();
+    let cells = SweepRunner::default().map(&cells, |&(kind, width, hedged)| StragglerCell {
+        kind,
+        width,
+        hedged,
+        outcome: run_cell(kind, width, hedged, samples),
+    });
     StragglerScaling { cells }
 }
 

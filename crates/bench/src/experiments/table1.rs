@@ -10,6 +10,7 @@ use stats::table::{fmt_ratio, TextTable};
 use stellar_core::protocols::{
     bursty_invocations, cold_invocations, transfer_chain, warm_invocations, BurstIat, ColdSetup,
 };
+use stellar_core::runner::SweepRunner;
 
 use crate::report::{Report, BASE_SEED};
 
@@ -135,22 +136,9 @@ fn provider_column(kind: ProviderKind, samples: u32) -> [Cell; 8] {
 
 /// Measures the whole table (providers in parallel).
 pub fn measure(samples: u32) -> Table1 {
-    let mut columns: Vec<(ProviderKind, [Cell; 8])> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ProviderKind::ALL
-            .iter()
-            .map(|&kind| scope.spawn(move |_| (kind, provider_column(kind, samples))))
-            .collect();
-        for handle in handles {
-            columns.push(handle.join().expect("experiment thread"));
-        }
-    })
-    .expect("scope");
-    columns.sort_by_key(|(kind, _)| ProviderKind::ALL.iter().position(|k| k == kind));
-    let mut cells = Vec::new();
-    for f in 0..FACTORS.len() {
-        cells.push([columns[0].1[f], columns[1].1[f], columns[2].1[f]]);
-    }
+    let columns =
+        SweepRunner::default().map(&ProviderKind::ALL, |&kind| provider_column(kind, samples));
+    let cells = (0..FACTORS.len()).map(|f| [columns[0][f], columns[1][f], columns[2][f]]).collect();
     Table1 { cells }
 }
 

@@ -11,8 +11,15 @@
 //! cargo run --release -p stellar-bench --bin reproduce
 //! ```
 //!
-//! or a single artifact, e.g. `--bin fig8`. Criterion benches covering the
-//! same experiments live under `benches/`.
+//! or a single artifact, e.g. `--bin fig8`. `--samples N` overrides the
+//! per-configuration sample count; a malformed or zero value exits 2 with
+//! a message naming the flag ([`report::samples_arg`]). Criterion benches
+//! covering the same experiments live under `benches/`.
+//!
+//! Every multi-cell artifact builds its cell list in report order and runs
+//! it on [`stellar_core::runner::SweepRunner::map`], the project's one
+//! worker pool: bounded by the machine's core count, results merged in
+//! cell order, so an artifact's output does not depend on the core count.
 
 pub mod experiments;
 pub mod report;

@@ -1,5 +1,7 @@
 //! Report plumbing shared by all experiment modules.
 
+use std::str::FromStr;
+
 use stats::summary::Summary;
 use stats::table::{fmt_latency, fmt_ratio};
 
@@ -112,6 +114,40 @@ pub const PAPER_SAMPLES: u32 = 3000;
 /// every configuration gets an independent, stable stream.
 pub const BASE_SEED: u64 = 20210711; // IISWC'21 presentation date
 
+/// The `--samples` value of the process arguments, or [`PAPER_SAMPLES`]
+/// when the flag is absent; see [`positive_arg`].
+pub fn samples_arg() -> u32 {
+    positive_arg("--samples", PAPER_SAMPLES)
+}
+
+/// The value after `flag` in the process arguments, or `default` when the
+/// flag is absent. A missing, malformed or zero value prints a message
+/// naming the flag and exits with status 2.
+pub fn positive_arg<T: FromStr + Default + PartialEq>(flag: &str, default: T) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    parse_positive_arg(&args, flag, default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+/// [`positive_arg`] over an explicit argument list: zero is the type's
+/// default value.
+fn parse_positive_arg<T: FromStr + Default + PartialEq>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let raw = args.get(at + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    match raw.parse::<T>() {
+        Ok(value) if value != T::default() => Ok(value),
+        _ => Err(format!("{flag} must be a positive integer, got '{raw}'")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +179,44 @@ mod tests {
             measured_tmr: 1.0,
         };
         assert!(c.median_deviation().is_none());
+    }
+
+    fn args(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn positive_arg_defaults_when_the_flag_is_absent() {
+        let parsed = parse_positive_arg(&args(&["fig3", "--other", "7"]), "--samples", 3000u32);
+        assert_eq!(parsed, Ok(3000));
+    }
+
+    #[test]
+    fn positive_arg_reads_a_valid_value() {
+        let parsed = parse_positive_arg(&args(&["fig3", "--samples", "300"]), "--samples", 3000u32);
+        assert_eq!(parsed, Ok(300));
+        let parsed =
+            parse_positive_arg(&args(&["fig10", "--functions", "500"]), "--functions", 1usize);
+        assert_eq!(parsed, Ok(500));
+    }
+
+    #[test]
+    fn positive_arg_rejects_a_malformed_or_missing_value() {
+        for bad in [
+            &["fig3", "--samples", "abc"][..],
+            &["fig3", "--samples", "-5"],
+            &["fig3", "--samples"],
+        ] {
+            let err = parse_positive_arg(&args(bad), "--samples", 3000u32).unwrap_err();
+            assert!(err.contains("--samples"), "{err}");
+        }
+    }
+
+    #[test]
+    fn positive_arg_rejects_zero() {
+        let err = parse_positive_arg(&args(&["reproduce", "--samples", "0"]), "--samples", 3000u32)
+            .unwrap_err();
+        assert_eq!(err, "--samples must be a positive integer, got '0'");
     }
 
     #[test]

@@ -149,12 +149,6 @@ pub enum Command {
     Help,
 }
 
-/// Parses raw arguments (without the program name).
-///
-/// # Errors
-///
-/// Returns a usage-style message for unknown commands, unknown flags or
-/// missing flag values.
 fn parse_queue(s: &str) -> Result<QueueKind, String> {
     QueueKind::parse(s)
         .ok_or_else(|| format!("--queue must be adaptive, calendar or binary-heap, got {s}"))
@@ -165,6 +159,22 @@ fn parse_quantile_mode(s: &str) -> Result<QuantileMode, String> {
         .ok_or_else(|| format!("--quantile-mode must be exact or sketch, got {s}"))
 }
 
+/// Splits a comma-separated list flag value, dropping empty entries; a
+/// list left empty is an error naming `flag` and the `what` it needs.
+fn comma_list(raw: &str, flag: &str, what: &str) -> Result<Vec<String>, String> {
+    let list: Vec<String> = raw.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect();
+    if list.is_empty() {
+        return Err(format!("{flag} needs at least one {what}"));
+    }
+    Ok(list)
+}
+
+/// Parses raw arguments (without the program name).
+///
+/// # Errors
+///
+/// Returns a usage-style message for unknown commands, unknown flags or
+/// missing flag values.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let Some(cmd) = it.next() else {
@@ -289,14 +299,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--static" => static_path = Some(value("--static")?),
                     "--runtime" => runtime_path = Some(value("--runtime")?),
                     "--providers" => {
-                        providers = value("--providers")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        if providers.is_empty() {
-                            return Err("--providers needs at least one name".to_string());
-                        }
+                        providers = comma_list(&value("--providers")?, "--providers", "name")?
                     }
                     "--seeds" => {
                         seeds = value("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?;
@@ -321,44 +324,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
                     }
                     "--workload" | "--workloads" => {
-                        workloads = value("--workload")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        if workloads.is_empty() {
-                            return Err("--workload needs at least one name or file".to_string());
-                        }
+                        workloads = comma_list(&value("--workload")?, "--workload", "name or file")?
                     }
                     "--policy" | "--policies" => {
-                        policies = value("--policy")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        if policies.is_empty() {
-                            return Err("--policy needs at least one name or file".to_string());
-                        }
+                        policies = comma_list(&value("--policy")?, "--policy", "name or file")?
                     }
                     "--faults" => {
-                        faults = value("--faults")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        if faults.is_empty() {
-                            return Err("--faults needs at least one name or file".to_string());
-                        }
+                        faults = comma_list(&value("--faults")?, "--faults", "name or file")?
                     }
                     "--app" | "--apps" => {
-                        apps = value("--app")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        if apps.is_empty() {
-                            return Err("--app needs at least one name or file".to_string());
-                        }
+                        apps = comma_list(&value("--app")?, "--app", "name or file")?
                     }
                     "--out" => out = Some(value("--out")?),
                     "--queue" => queue = parse_queue(&value("--queue")?)?,

@@ -61,103 +61,76 @@ fn resolve_provider(name_or_path: &str) -> Result<ProviderConfig, CliError> {
     Ok(cfg)
 }
 
-fn resolve_workload(name_or_path: &str) -> Result<workload::WorkloadSpec, CliError> {
-    if let Some(spec) = workload::WorkloadSpec::preset(name_or_path) {
+/// Resolves a spec entry: a preset name, otherwise a path to a spec JSON
+/// that `from_json` parses.
+fn resolve_spec<T>(
+    name_or_path: &str,
+    preset: impl Fn(&str) -> Option<T>,
+    from_json: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, CliError> {
+    if let Some(spec) = preset(name_or_path) {
         return Ok(spec);
     }
     let text = read(name_or_path)?;
-    workload::WorkloadSpec::from_json(&text)
-        .map_err(|e| CliError::Config(format!("{name_or_path}: {e}")))
+    from_json(&text).map_err(|e| CliError::Config(format!("{name_or_path}: {e}")))
 }
 
-/// Resolves a `--policy` axis entry: `none` is the unmodified baseline,
-/// otherwise a preset name or a path to a policy-spec JSON.
+/// [`resolve_spec`] for an optional axis, where `none` is the baseline.
+fn resolve_optional<T>(
+    name_or_path: &str,
+    preset: impl Fn(&str) -> Option<T>,
+    from_json: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, CliError> {
+    if name_or_path == "none" {
+        return Ok(None);
+    }
+    resolve_spec(name_or_path, preset, from_json).map(Some)
+}
+
+fn resolve_workload(name_or_path: &str) -> Result<workload::WorkloadSpec, CliError> {
+    resolve_spec(name_or_path, workload::WorkloadSpec::preset, workload::WorkloadSpec::from_json)
+}
+
+/// Resolves a `--policy` entry: `none` is the unmodified baseline.
 fn resolve_policy(name_or_path: &str) -> Result<Option<policy::PolicySpec>, CliError> {
-    if name_or_path == "none" {
-        return Ok(None);
-    }
-    if let Some(spec) = policy::PolicySpec::preset(name_or_path) {
-        return Ok(Some(spec));
-    }
-    let text = read(name_or_path)?;
-    policy::PolicySpec::from_json(&text)
-        .map(Some)
-        .map_err(|e| CliError::Config(format!("{name_or_path}: {e}")))
+    resolve_optional(name_or_path, policy::PolicySpec::preset, policy::PolicySpec::from_json)
 }
 
-/// Short label for a policy axis entry: `none`, the preset name, or the
-/// file stem of a spec path.
-fn policy_axis_label(name_or_path: &str) -> String {
-    if name_or_path == "none" || policy::PolicySpec::preset(name_or_path).is_some() {
-        return name_or_path.to_string();
-    }
-    std::path::Path::new(name_or_path)
-        .file_stem()
-        .map_or_else(|| name_or_path.to_string(), |s| s.to_string_lossy().into_owned())
-}
-
-/// Resolves a `--faults` axis entry: `none` is the fault-free baseline,
-/// otherwise a preset name or a path to a fault-spec JSON.
+/// Resolves a `--faults` entry: `none` is the fault-free baseline.
 fn resolve_faults(name_or_path: &str) -> Result<Option<faults::FaultSpec>, CliError> {
-    if name_or_path == "none" {
-        return Ok(None);
-    }
-    if let Some(spec) = faults::FaultSpec::preset(name_or_path) {
-        return Ok(Some(spec));
-    }
-    let text = read(name_or_path)?;
-    faults::FaultSpec::from_json(&text)
-        .map(Some)
-        .map_err(|e| CliError::Config(format!("{name_or_path}: {e}")))
-}
-
-/// Short label for a fault axis entry: `none`, the preset name, or the
-/// file stem of a spec path.
-fn faults_axis_label(name_or_path: &str) -> String {
-    if name_or_path == "none" || faults::FaultSpec::preset(name_or_path).is_some() {
-        return name_or_path.to_string();
-    }
-    std::path::Path::new(name_or_path)
-        .file_stem()
-        .map_or_else(|| name_or_path.to_string(), |s| s.to_string_lossy().into_owned())
+    resolve_optional(name_or_path, faults::FaultSpec::preset, faults::FaultSpec::from_json)
 }
 
 /// Resolves an `--app` entry: `none` is the single-function baseline,
-/// otherwise a preset name, an inline DAG-spec JSON object, or a path to
-/// a DAG-spec JSON file.
+/// and besides a preset name or a file path it may be an inline
+/// DAG-spec JSON object.
 fn resolve_app(name_or_path: &str) -> Result<Option<faas_sim::dag::DagSpec>, CliError> {
-    if name_or_path == "none" {
-        return Ok(None);
+    if name_or_path.trim_start().starts_with('{') {
+        return appsuite::from_json(name_or_path).map(Some).map_err(CliError::Config);
     }
-    if appsuite::preset(name_or_path).is_some() || name_or_path.trim_start().starts_with('{') {
-        return appsuite::resolve(name_or_path).map(Some).map_err(CliError::Config);
-    }
-    let text = read(name_or_path)?;
-    appsuite::from_json(&text)
-        .map(Some)
-        .map_err(|e| CliError::Config(format!("{name_or_path}: {e}")))
+    resolve_optional(name_or_path, appsuite::preset, appsuite::from_json)
 }
 
-/// Short label for an app axis entry: `none`, the preset name, or the
-/// file stem of a spec path.
-fn app_axis_label(name_or_path: &str) -> String {
-    if name_or_path == "none" || appsuite::preset(name_or_path).is_some() {
-        return name_or_path.to_string();
-    }
-    std::path::Path::new(name_or_path)
-        .file_stem()
-        .map_or_else(|| name_or_path.to_string(), |s| s.to_string_lossy().into_owned())
-}
-
-/// Short label for a workload axis entry: the preset name, or the file
-/// stem of a spec path.
-fn workload_label(name_or_path: &str) -> String {
-    if workload::WorkloadSpec::preset(name_or_path).is_some() {
-        return name_or_path.to_string();
-    }
-    std::path::Path::new(name_or_path)
-        .file_stem()
-        .map_or_else(|| name_or_path.to_string(), |s| s.to_string_lossy().into_owned())
+/// Resolves every entry of one sweep axis in order, each beside its
+/// short label: `none`, the preset name, or the file stem of a spec path.
+fn sweep_axis<T, P>(
+    names: &[String],
+    preset: impl Fn(&str) -> Option<P>,
+    resolve: impl Fn(&str) -> Result<T, CliError>,
+) -> Result<Vec<(String, T)>, CliError> {
+    names
+        .iter()
+        .map(|name| {
+            let label = if name == "none" || preset(name).is_some() {
+                name.clone()
+            } else {
+                std::path::Path::new(name)
+                    .file_stem()
+                    .map_or_else(|| name.clone(), |s| s.to_string_lossy().into_owned())
+            };
+            Ok((label, resolve(name)?))
+        })
+        .collect()
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -405,45 +378,21 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
     // Each requested axis crosses the scenarios the previous ones
     // produced, apps innermost, so labels read
     // "{provider}@{app}/{workload}+{policy}~{fault}".
-    let apps = opts
-        .apps
-        .iter()
-        .map(|name| Ok((app_axis_label(name), resolve_app(name)?)))
-        .collect::<Result<Vec<_>, CliError>>()?;
-    let aaxis: Vec<(&str, Option<faas_sim::dag::DagSpec>)> =
-        apps.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-    let workloads = opts
-        .workloads
-        .iter()
-        .map(|name| Ok((workload_label(name), resolve_workload(name)?)))
-        .collect::<Result<Vec<_>, CliError>>()?;
-    let waxis: Vec<(&str, workload::WorkloadSpec)> =
-        workloads.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-    let policies = opts
-        .policies
-        .iter()
-        .map(|name| Ok((policy_axis_label(name), resolve_policy(name)?)))
-        .collect::<Result<Vec<_>, CliError>>()?;
-    let paxis: Vec<(&str, Option<policy::PolicySpec>)> =
-        policies.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-    let fault_specs = opts
-        .faults
-        .iter()
-        .map(|name| Ok((faults_axis_label(name), resolve_faults(name)?)))
-        .collect::<Result<Vec<_>, CliError>>()?;
-    let faxis: Vec<(&str, Option<faults::FaultSpec>)> =
-        fault_specs.iter().map(|(label, spec)| (label.as_str(), spec.clone())).collect();
-    if !aaxis.is_empty() {
-        scenarios = SweepGrid::cross_apps(scenarios, &aaxis, seeds.clone()).scenarios;
+    let apps = sweep_axis(&opts.apps, appsuite::preset, resolve_app)?;
+    let workloads = sweep_axis(&opts.workloads, workload::WorkloadSpec::preset, resolve_workload)?;
+    let policies = sweep_axis(&opts.policies, policy::PolicySpec::preset, resolve_policy)?;
+    let faults = sweep_axis(&opts.faults, faults::FaultSpec::preset, resolve_faults)?;
+    if !apps.is_empty() {
+        scenarios = SweepGrid::cross_apps(scenarios, &apps, seeds.clone()).scenarios;
     }
-    if !waxis.is_empty() {
-        scenarios = SweepGrid::cross_workloads(scenarios, &waxis, seeds.clone()).scenarios;
+    if !workloads.is_empty() {
+        scenarios = SweepGrid::cross_workloads(scenarios, &workloads, seeds.clone()).scenarios;
     }
-    if !paxis.is_empty() {
-        scenarios = SweepGrid::cross_policies(scenarios, &paxis, seeds.clone()).scenarios;
+    if !policies.is_empty() {
+        scenarios = SweepGrid::cross_policies(scenarios, &policies, seeds.clone()).scenarios;
     }
-    if !faxis.is_empty() {
-        scenarios = SweepGrid::cross_faults(scenarios, &faxis, seeds.clone()).scenarios;
+    if !faults.is_empty() {
+        scenarios = SweepGrid::cross_faults(scenarios, &faults, seeds.clone()).scenarios;
     }
     let grid = SweepGrid::new(scenarios, seeds);
     let cells = grid.len();

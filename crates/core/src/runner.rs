@@ -2,17 +2,23 @@
 //!
 //! The paper's methodology (§V) sweeps burst sizes × payload sizes ×
 //! providers × IATs — an embarrassingly parallel grid of independent
-//! `(scenario, seed)` cells. [`SweepRunner`] executes such a grid across a
-//! pool of scoped worker threads while preserving the determinism contract
-//! the rest of the stack guarantees:
+//! `(scenario, seed)` cells. [`SweepRunner`] executes such a grid on one
+//! bounded pool of `std::thread::scope` workers ([`SweepRunner::map`]),
+//! the pool every multi-cell paper artifact in the bench harness also runs
+//! its cells on, while preserving the determinism contract the rest of
+//! the stack guarantees:
 //!
+//! * **Bounded workers** — at most `min(threads, cells)` workers start,
+//!   `threads` defaulting to the machine's available parallelism.
 //! * **Work stealing** — workers claim cells from a shared atomic cursor,
 //!   so a slow cell (a long cold-start sweep, say) never idles the pool.
 //! * **Deterministic merge** — results are keyed by cell index and merged
 //!   in index order, so the report is byte-identical regardless of worker
 //!   count or completion interleaving.
-//! * **Panic isolation** — each cell runs under `catch_unwind`; a failing
-//!   cell becomes an error row instead of killing the sweep.
+//! * **Panic isolation** — each [`SweepRunner::run`] cell runs under
+//!   `catch_unwind`; a failing cell becomes an error row instead of
+//!   killing the sweep. A bare [`SweepRunner::map`] propagates a cell's
+//!   panic to its caller.
 //! * **Progress counters** — the merged [`simkit::metrics::Metrics`]
 //!   registry carries `sweep_cells_*` counters plus the summed lifecycle
 //!   counters of every successful cell.
@@ -163,7 +169,7 @@ impl SweepGrid {
     /// Panics if any axis is empty.
     pub fn cross_workloads(
         scenarios: Vec<Scenario>,
-        workloads: &[(&str, workload::WorkloadSpec)],
+        workloads: &[(impl AsRef<str>, workload::WorkloadSpec)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
         cross(scenarios, workloads, '/', "workload", seeds, |c, spec| {
@@ -182,7 +188,7 @@ impl SweepGrid {
     /// Panics if any axis is empty.
     pub fn cross_apps(
         scenarios: Vec<Scenario>,
-        apps: &[(&str, Option<faas_sim::dag::DagSpec>)],
+        apps: &[(impl AsRef<str>, Option<faas_sim::dag::DagSpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
         cross(scenarios, apps, '@', "app", seeds, |c, spec| c.dag = spec)
@@ -199,7 +205,7 @@ impl SweepGrid {
     /// Panics if any axis is empty.
     pub fn cross_policies(
         scenarios: Vec<Scenario>,
-        policies: &[(&str, Option<policy::PolicySpec>)],
+        policies: &[(impl AsRef<str>, Option<policy::PolicySpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
         cross(scenarios, policies, '+', "policy", seeds, |c, spec| c.runtime_cfg.policy = spec)
@@ -216,7 +222,7 @@ impl SweepGrid {
     /// Panics if any axis is empty.
     pub fn cross_faults(
         scenarios: Vec<Scenario>,
-        faults: &[(&str, Option<faults::FaultSpec>)],
+        faults: &[(impl AsRef<str>, Option<faults::FaultSpec>)],
         seeds: Vec<u64>,
     ) -> SweepGrid {
         cross(scenarios, faults, '~', "fault schedule", seeds, |c, spec| {
@@ -230,7 +236,7 @@ impl SweepGrid {
 /// gets its value through `set`.
 fn cross<T: Clone>(
     scenarios: Vec<Scenario>,
-    axis: &[(&str, T)],
+    axis: &[(impl AsRef<str>, T)],
     sep: char,
     what: &str,
     seeds: Vec<u64>,
@@ -241,7 +247,7 @@ fn cross<T: Clone>(
     for s in &scenarios {
         for (name, value) in axis {
             let mut cell = s.clone();
-            cell.label = format!("{}{sep}{name}", s.label);
+            cell.label = format!("{}{sep}{}", s.label, name.as_ref());
             set(&mut cell, value.clone());
             crossed.push(cell);
         }
@@ -479,7 +485,8 @@ fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
     }
 }
 
-/// Executes a [`SweepGrid`] across a pool of scoped worker threads.
+/// Executes a [`SweepGrid`], or any list of independent cells, on a
+/// bounded pool of scoped worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     threads: usize,
@@ -533,38 +540,19 @@ impl SweepRunner {
         self
     }
 
-    /// Runs every cell of `grid` and merges the results in cell-index
-    /// order. Cells are claimed work-stealing style from a shared cursor;
-    /// a panicking cell is isolated into an error row.
+    /// Runs every cell of `grid` on [`SweepRunner::map`] and merges the
+    /// results in cell-index order. A panicking cell is isolated into an
+    /// error row.
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
-        let total = grid.len();
-        let slots: Vec<Mutex<Option<CellResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(total);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let cell =
-                        run_cell(grid, index, self.queue, &self.measure, self.profile_events);
-                    *slots[index].lock().expect("sweep slot poisoned") = Some(cell);
-                });
-            }
-        })
-        .expect("sweep worker panicked outside a cell");
-
-        let mut rows = Vec::with_capacity(total);
+        let indices: Vec<usize> = (0..grid.len()).collect();
+        let cells = self.map(&indices, |&index| self.run_cell(grid, index));
+        let mut rows = Vec::with_capacity(cells.len());
         let mut metrics = Metrics::new();
         let mut latency_agg = LatencyAgg::with_mode(self.measure.quantile);
-        metrics.add(counter::CELLS_TOTAL, total as u64);
+        metrics.add(counter::CELLS_TOTAL, cells.len() as u64);
         metrics.add(counter::CELLS_OK, 0);
         metrics.add(counter::CELLS_FAILED, 0);
-        for slot in slots {
-            let (row, cell_metrics, cell_agg) =
-                slot.into_inner().expect("sweep slot poisoned").expect("cell never ran");
+        for (row, cell_metrics, cell_agg) in cells {
             metrics.inc(if row.result.is_ok() { counter::CELLS_OK } else { counter::CELLS_FAILED });
             metrics.merge(&cell_metrics);
             if let Some(agg) = &cell_agg {
@@ -573,6 +561,61 @@ impl SweepRunner {
             rows.push(row);
         }
         SweepReport { rows, metrics, latency_agg }
+    }
+
+    /// Applies `f` to every cell on the pool and returns the results in
+    /// cell order, whatever the worker count or completion interleaving.
+    /// At most `min(threads, cells.len())` scoped workers start; each
+    /// claims the next unclaimed cell from a shared atomic cursor, so a
+    /// slow cell never idles the others. A panicking cell panics this
+    /// call once every worker has stopped.
+    pub fn map<C: Sync, T: Send>(&self, cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
+        let slots: Vec<Mutex<Option<T>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads.min(cells.len()) {
+                scope.spawn(|| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(index) else { break };
+                    *slots[index].lock().expect("sweep slot poisoned") = Some(f(cell));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("sweep slot poisoned").expect("cell never ran"))
+            .collect()
+    }
+
+    /// Runs one grid cell under `catch_unwind`, so an experiment error or
+    /// a panic becomes the cell's error row.
+    fn run_cell(&self, grid: &SweepGrid, index: usize) -> CellResult {
+        let (scenario, seed) = grid.cell(index);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut experiment = Experiment::new(scenario.provider.clone())
+                .functions(scenario.static_cfg.clone())
+                .workload(scenario.runtime_cfg.clone())
+                .seed(seed)
+                .queue(self.queue)
+                .measure(self.measure)
+                .profile_events(self.profile_events);
+            if let Some(dag) = &scenario.dag {
+                experiment = experiment.app(dag.clone());
+            }
+            experiment.run()
+        }));
+        let (result, metrics, agg) = match outcome {
+            Ok(Ok(outcome)) => (
+                Ok(CellStats::from_outcome(&outcome)),
+                outcome.metrics,
+                Some(outcome.result.latency_agg),
+            ),
+            Ok(Err(e)) => (Err(e.to_string()), Metrics::new(), None),
+            Err(payload) => {
+                (Err(format!("panic: {}", panic_message(&payload))), Metrics::new(), None)
+            }
+        };
+        (CellRow { index, scenario: scenario.label.clone(), seed, result }, metrics, agg)
     }
 }
 
@@ -585,39 +628,6 @@ impl Default for SweepRunner {
 /// What one sweep cell hands back for merging: its CSV row, lifecycle
 /// counters, and (in sketch mode) the cell's latency aggregate.
 type CellResult = (CellRow, Metrics, Option<LatencyAgg>);
-
-fn run_cell(
-    grid: &SweepGrid,
-    index: usize,
-    queue: QueueKind,
-    measure: &MeasureSpec,
-    profile_events: bool,
-) -> CellResult {
-    let (scenario, seed) = grid.cell(index);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut experiment = Experiment::new(scenario.provider.clone())
-            .functions(scenario.static_cfg.clone())
-            .workload(scenario.runtime_cfg.clone())
-            .seed(seed)
-            .queue(queue)
-            .measure(*measure)
-            .profile_events(profile_events);
-        if let Some(dag) = &scenario.dag {
-            experiment = experiment.app(dag.clone());
-        }
-        experiment.run()
-    }));
-    let (result, metrics, agg) = match outcome {
-        Ok(Ok(outcome)) => (
-            Ok(CellStats::from_outcome(&outcome)),
-            outcome.metrics,
-            Some(outcome.result.latency_agg),
-        ),
-        Ok(Err(e)) => (Err(e.to_string()), Metrics::new(), None),
-        Err(payload) => (Err(format!("panic: {}", panic_message(&payload))), Metrics::new(), None),
-    };
-    (CellRow { index, scenario: scenario.label.clone(), seed, result }, metrics, agg)
-}
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -754,6 +764,58 @@ mod tests {
         let report = SweepRunner::new(16).run(&grid);
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.ok_count(), 1);
+    }
+
+    #[test]
+    fn map_returns_results_in_input_order_under_uneven_cells() {
+        // Early cells sleep longest, so completion order is roughly the
+        // reverse of input order; the output must still be input order.
+        let cells: Vec<u64> = (0..12).collect();
+        for threads in [1, 2, 8] {
+            let out = SweepRunner::new(threads).map(&cells, |&i| {
+                std::thread::sleep(std::time::Duration::from_millis((12 - i) % 5));
+                i * i
+            });
+            let expected: Vec<u64> = cells.iter().map(|i| i * i).collect();
+            assert_eq!(out, expected, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn map_never_runs_more_cells_at_once_than_threads() {
+        use std::collections::HashSet;
+        for (threads, cells) in [(1, 6), (2, 8), (3, 9), (8, 3)] {
+            let in_flight = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let workers = Mutex::new(HashSet::new());
+            let inputs: Vec<usize> = (0..cells).collect();
+            SweepRunner::new(threads).map(&inputs, |_| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                workers.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+            });
+            let peak = peak.into_inner();
+            assert!(peak >= 1 && peak <= threads, "{threads} threads ran {peak} cells at once");
+            let started = workers.into_inner().unwrap().len();
+            assert!(started <= threads.min(cells), "{started} workers for {cells} cells");
+        }
+    }
+
+    #[test]
+    fn map_over_no_cells_is_empty() {
+        let out = SweepRunner::new(4).map(&[] as &[u8], |&c| c);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn map_propagates_a_cell_panic() {
+        SweepRunner::new(2).map(&[1, 2, 3], |&c| {
+            assert_ne!(c, 2, "cell 2 fails");
+            c
+        });
     }
 
     #[test]

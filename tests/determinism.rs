@@ -58,40 +58,33 @@ fn subsystem_streams_are_isolated() {
     assert_eq!(run(600_000.0), run(900_000.0));
 }
 
-/// Runs each closure on its own crossbeam-scoped thread and collects the
-/// results in spawn order.
-fn sharded<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(move |_| job())).collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
-    })
-    .expect("scope")
+/// Runs each job as one cell of a `threads`-worker [`SweepRunner`] pool
+/// and collects the results in job order.
+fn sharded<T: Send, F: Fn() -> T + Sync>(jobs: &[F], threads: usize) -> Vec<T> {
+    SweepRunner::new(threads).map(jobs, |job| job())
 }
 
 #[test]
 fn fig3_warm_sweep_sharded_across_threads_matches_serial() {
     // The Fig 3 measurement sweep — one warm run per provider — run once
-    // serially and once with each provider on its own thread. Each run
-    // owns its RNG state, so sharding the sweep must be bit-identical.
+    // serially and once sharded over 1 and 3 pool workers. Each run owns
+    // its RNG state, so sharding the sweep must be bit-identical.
     let providers = [aws_like(), google_like(), azure_like()];
     let serial: Vec<Vec<f64>> = providers
         .iter()
         .map(|cfg| warm_invocations(cfg.clone(), 120, 2021).unwrap().latencies_ms())
         .collect();
-    let threaded = sharded(
-        providers
-            .iter()
-            .map(|cfg| {
-                let cfg = cfg.clone();
-                move || warm_invocations(cfg, 120, 2021).unwrap().latencies_ms()
-            })
-            .collect(),
-    );
-    assert_eq!(serial, threaded, "sharded fig3 sweep must match serial");
+    let jobs: Vec<_> = providers
+        .iter()
+        .map(|cfg| move || warm_invocations(cfg.clone(), 120, 2021).unwrap().latencies_ms())
+        .collect();
+    for threads in [1, 3] {
+        assert_eq!(
+            serial,
+            sharded(&jobs, threads),
+            "fig3 sweep sharded over {threads} workers must match serial"
+        );
+    }
 }
 
 #[test]
@@ -112,12 +105,15 @@ fn fig8_and_table1_shards_match_serial() {
             .latencies_ms()
     };
     let serial = vec![cold(), xfer(), burst()];
-    let threaded = sharded::<Vec<f64>, Box<dyn FnOnce() -> Vec<f64> + Send>>(vec![
-        Box::new(cold),
-        Box::new(xfer),
-        Box::new(burst),
-    ]);
-    assert_eq!(serial, threaded, "sharded fig8/table1 runs must match serial");
+    let jobs: [Box<dyn Fn() -> Vec<f64> + Sync>; 3] =
+        [Box::new(cold), Box::new(xfer), Box::new(burst)];
+    for threads in [1, 3] {
+        assert_eq!(
+            serial,
+            sharded(&jobs, threads),
+            "fig8/table1 runs sharded over {threads} workers must match serial"
+        );
+    }
 }
 
 #[test]

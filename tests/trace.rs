@@ -63,12 +63,11 @@ fn golden_trace_digest_is_stable_across_runs_and_threads() {
     // The same run executed concurrently — under contention, on any
     // number of worker threads — must still produce the same bytes.
     for threads in [2usize, 4] {
-        let digests = crossbeam::thread::scope(|scope| {
+        let digests: Vec<u64> = std::thread::scope(|scope| {
             let handles: Vec<_> =
-                (0..threads).map(|_| scope.spawn(|_| traceio::digest64(&export()))).collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread")).collect::<Vec<u64>>()
-        })
-        .expect("scope");
+                (0..threads).map(|_| scope.spawn(|| traceio::digest64(&export()))).collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+        });
         for digest in digests {
             assert_eq!(
                 digest,
