@@ -320,7 +320,7 @@ impl Experiment {
         // per-event cost profile when profiling was on.
         cloud.record_queue_metrics();
         cloud.record_profile_metrics();
-        let metrics = cloud.metrics().clone();
+        let metrics = cloud.metrics();
         Ok(Outcome { result, summary, transfer_summary, spans, metrics, dag })
     }
 }

@@ -18,7 +18,7 @@
 
 use simkit::time::SimTime;
 
-use crate::request::{Breakdown, RequestOrigin};
+use crate::request::{Breakdown, RequestOrigin, TransferSample};
 use crate::types::{FunctionId, InstanceId, RequestId, TransferMode};
 
 /// Lifecycle flag bits of a [`HotReq`].
@@ -49,9 +49,6 @@ pub(crate) struct HotReq {
     pub instance: Option<InstanceId>,
     /// When the request entered the pending queue / triggered its spawn.
     pub wait_started: Option<SimTime>,
-    /// When the request started occupying an instance — the base of the
-    /// wasted-busy-time accounting for mid-execution cancels.
-    pub assigned_at: Option<SimTime>,
     /// When the client issued the request.
     pub issued_at: SimTime,
 }
@@ -107,6 +104,15 @@ pub(crate) struct XferInfo {
     pub send_start: SimTime,
     pub parent: RequestId,
     pub parent_tag: u64,
+}
+
+impl XferInfo {
+    /// The transfer sample of this payload, in the consumer's hands at
+    /// `received`.
+    pub fn received_at(self, received: SimTime) -> TransferSample {
+        let XferInfo { mode, payload_bytes, send_start, parent, parent_tag } = self;
+        TransferSample { parent, parent_tag, mode, payload_bytes, send_start, received }
+    }
 }
 
 /// Lifecycle-boundary request state: touched at creation, assignment,
@@ -212,7 +218,6 @@ impl RequestArena {
                     flags: flags::LIVE,
                     instance: None,
                     wait_started: None,
-                    assigned_at: None,
                     issued_at,
                 };
                 self.cold[slot as usize] = cold;
@@ -227,7 +232,6 @@ impl RequestArena {
                     flags: flags::LIVE,
                     instance: None,
                     wait_started: None,
-                    assigned_at: None,
                     issued_at,
                 });
                 self.cold.push(cold);

@@ -6,8 +6,6 @@
 //! number of active instances; [`ResourceUsage`] quantifies that second
 //! axis so experiments (and the ablation harness) can report both.
 
-use simkit::time::SimTime;
-
 /// Accumulated resource usage of one function's fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceUsage {
@@ -40,123 +38,5 @@ impl ResourceUsage {
         } else {
             0.0
         }
-    }
-}
-
-/// Tracks lifetime/busy integrals for one function's instances.
-#[derive(Debug, Default)]
-pub(crate) struct UsageTracker {
-    usage: ResourceUsage,
-    /// Per-instance (alive_since, busy_since) markers; `None` when not in
-    /// that state. Indexed like the instance vector.
-    marks: Vec<InstanceMarks>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct InstanceMarks {
-    alive_since: Option<SimTime>,
-    busy_since: Option<SimTime>,
-}
-
-impl UsageTracker {
-    pub(crate) fn on_spawn(&mut self) {
-        self.usage.spawns += 1;
-        self.marks.push(InstanceMarks::default());
-    }
-
-    pub(crate) fn on_boot_complete(&mut self, idx: usize, now: SimTime) {
-        self.marks[idx].alive_since = Some(now);
-    }
-
-    pub(crate) fn on_assign(&mut self, idx: usize, now: SimTime) {
-        self.usage.requests += 1;
-        self.marks[idx].busy_since = Some(now);
-    }
-
-    pub(crate) fn on_release(&mut self, idx: usize, now: SimTime) {
-        if let Some(since) = self.marks[idx].busy_since.take() {
-            self.usage.busy_seconds += (now - since).as_secs();
-        }
-    }
-
-    pub(crate) fn on_reap(&mut self, idx: usize, now: SimTime) {
-        if let Some(since) = self.marks[idx].alive_since.take() {
-            self.usage.instance_seconds += (now - since).as_secs();
-        }
-    }
-
-    /// Usage snapshot with still-alive instances accounted up to `now`.
-    pub(crate) fn snapshot(&self, now: SimTime) -> ResourceUsage {
-        let mut usage = self.usage;
-        for marks in &self.marks {
-            if let Some(since) = marks.alive_since {
-                usage.instance_seconds += now.saturating_sub(since).as_secs();
-            }
-            if let Some(since) = marks.busy_since {
-                usage.busy_seconds += now.saturating_sub(since).as_secs();
-            }
-        }
-        usage
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const S: fn(f64) -> SimTime = SimTime::from_secs;
-
-    #[test]
-    fn lifetime_and_busy_integrals() {
-        let mut t = UsageTracker::default();
-        t.on_spawn();
-        t.on_boot_complete(0, S(1.0));
-        t.on_assign(0, S(2.0));
-        t.on_release(0, S(3.5));
-        t.on_reap(0, S(10.0));
-        let u = t.snapshot(S(20.0));
-        assert!((u.instance_seconds - 9.0).abs() < 1e-9);
-        assert!((u.busy_seconds - 1.5).abs() < 1e-9);
-        assert_eq!(u.spawns, 1);
-        assert_eq!(u.requests, 1);
-        assert!((u.utilization() - 1.5 / 9.0).abs() < 1e-9);
-        assert!((u.busy_ms_per_request() - 1500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_accounts_live_instances() {
-        let mut t = UsageTracker::default();
-        t.on_spawn();
-        t.on_boot_complete(0, S(0.0));
-        t.on_assign(0, S(1.0));
-        // Still alive & busy at snapshot time.
-        let u = t.snapshot(S(4.0));
-        assert!((u.instance_seconds - 4.0).abs() < 1e-9);
-        assert!((u.busy_seconds - 3.0).abs() < 1e-9);
-        // Snapshot is non-destructive.
-        let again = t.snapshot(S(5.0));
-        assert!((again.instance_seconds - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_usage_is_zero() {
-        let u = ResourceUsage::default();
-        assert_eq!(u.utilization(), 0.0);
-        assert_eq!(u.busy_ms_per_request(), 0.0);
-    }
-
-    #[test]
-    fn multiple_instances_accumulate() {
-        let mut t = UsageTracker::default();
-        for i in 0..3 {
-            t.on_spawn();
-            t.on_boot_complete(i, S(0.0));
-        }
-        t.on_reap(0, S(2.0));
-        t.on_reap(1, S(3.0));
-        let u = t.snapshot(S(5.0));
-        // 2 + 3 + 5 (third still alive) = 10.
-        assert!((u.instance_seconds - 10.0).abs() < 1e-9);
-        assert_eq!(u.spawns, 3);
     }
 }

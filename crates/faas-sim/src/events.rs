@@ -59,22 +59,25 @@ pub enum CloudEvent {
 // discriminant. See also the runtime regression test below.
 const _: () = assert!(std::mem::size_of::<CloudEvent>() <= 24);
 
+/// Invokes macro `$then` with the event-class names in variant order: the
+/// one list behind `CLASS_NAMES` and the per-class profile metric names.
+macro_rules! event_classes {
+    ($then:ident) => {
+        $then! {
+            "frontend_arrive", "routing_done", "enqueued", "boot_complete", "compute_done",
+            "exec_done", "completed", "cancel", "reap_check", "scale_tick", "telemetry_tick",
+            "fault_storm", "join_arrive"
+        }
+    };
+}
+pub(crate) use event_classes;
+
+macro_rules! array {
+    ($($name:literal),*) => { [$($name),*] };
+}
+
 impl EventClass for CloudEvent {
-    const CLASS_NAMES: &'static [&'static str] = &[
-        "frontend_arrive",
-        "routing_done",
-        "enqueued",
-        "boot_complete",
-        "compute_done",
-        "exec_done",
-        "completed",
-        "cancel",
-        "reap_check",
-        "scale_tick",
-        "telemetry_tick",
-        "fault_storm",
-        "join_arrive",
-    ];
+    const CLASS_NAMES: &'static [&'static str] = &event_classes!(array);
 
     fn class(&self) -> usize {
         match self {

@@ -1,7 +1,10 @@
 //! Function instance lifecycle state machine.
 //!
 //! Instances move `Booting → Idle ⇄ Busy → Dead`, with keep-alive reaping
-//! from `Idle`. Each state change bumps an epoch counter.
+//! from `Idle`. Each state change bumps an epoch counter. An instance also
+//! carries the start of its lifetime and of its busy span: a transition
+//! that ends a span returns its length, which the pool banks as resource
+//! usage.
 //!
 //! Every idle epoch draws a keep-alive deadline: the `(time, seq)` key at
 //! which its reap check fires. An instance keeps **one** timer in the
@@ -44,8 +47,9 @@ pub enum InstanceState {
 /// What a firing keep-alive timer does (see [`Instance::fire_keepalive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepAliveFire {
-    /// The instance was idle past its deadline and is now dead.
-    Reaped,
+    /// The instance was idle past its deadline and is now dead; carries
+    /// the lifetime this closes.
+    Reaped(SimTime),
     /// The instance idled again since the timer was queued: queue the
     /// timer again at the contained deadline.
     Rearm(EventKey),
@@ -59,13 +63,15 @@ pub struct Instance {
     id: InstanceId,
     state: InstanceState,
     epoch: u64,
-    served: u64,
-    spawned_at: SimTime,
     /// Keep-alive deadline of the latest idle epoch, with that epoch.
     deadline: Option<(EventKey, u64)>,
     /// Key of the one keep-alive timer this instance tracks in the event
     /// queue. Never later than `deadline` while that epoch lasts.
     timer: Option<EventKey>,
+    /// Boot completion, while the instance is alive (idle or busy).
+    alive_since: Option<SimTime>,
+    /// Start of the request being served, while busy.
+    busy_since: Option<SimTime>,
 }
 
 impl Instance {
@@ -76,10 +82,10 @@ impl Instance {
             id,
             state: InstanceState::Booting { ready_at },
             epoch: 0,
-            served: 0,
-            spawned_at: now,
             deadline: None,
             timer: None,
+            alive_since: None,
+            busy_since: None,
         }
     }
 
@@ -98,14 +104,14 @@ impl Instance {
         self.epoch
     }
 
-    /// Requests served by this instance.
-    pub fn served(&self) -> u64 {
-        self.served
+    /// Boot completion time while alive; `None` while booting or dead.
+    pub fn alive_since(&self) -> Option<SimTime> {
+        self.alive_since
     }
 
-    /// When the spawn began.
-    pub fn spawned_at(&self) -> SimTime {
-        self.spawned_at
+    /// Start of the current busy span; `None` unless busy.
+    pub fn busy_since(&self) -> Option<SimTime> {
+        self.busy_since
     }
 
     /// Whether the instance can accept a request right now.
@@ -137,30 +143,32 @@ impl Instance {
         assert!(self.is_booting(), "boot_complete on {:?}", self.state);
         self.state = InstanceState::Idle { since: now };
         self.epoch += 1;
+        self.alive_since = Some(now);
     }
 
-    /// Work assigned: `Idle → Busy`.
+    /// Work assigned at `now`: `Idle → Busy`.
     ///
     /// # Panics
     ///
     /// Panics if the instance is not idle.
-    pub fn assign(&mut self, request: RequestId) {
+    pub fn assign(&mut self, request: RequestId, now: SimTime) {
         assert!(self.is_idle(), "assign on {:?}", self.state);
         self.state = InstanceState::Busy { request };
         self.epoch += 1;
-        self.served += 1;
+        self.busy_since = Some(now);
     }
 
-    /// Work finished: `Busy → Idle`.
+    /// Work finished: `Busy → Idle`. Returns the busy span this closes.
     ///
     /// # Panics
     ///
     /// Panics if the instance is not busy with `request`.
-    pub fn release(&mut self, request: RequestId, now: SimTime) {
+    pub fn release(&mut self, request: RequestId, now: SimTime) -> SimTime {
         match self.state {
             InstanceState::Busy { request: current } if current == request => {
                 self.state = InstanceState::Idle { since: now };
                 self.epoch += 1;
+                self.end_busy(now)
             }
             _ => panic!("release({request}) on {:?}", self.state),
         }
@@ -178,31 +186,38 @@ impl Instance {
     }
 
     /// Mid-execution crash: `Busy → Dead` (fault injection). The request
-    /// being served dies with the instance; its result is lost.
+    /// being served dies with the instance; its result is lost. Returns
+    /// the busy span and the lifetime this closes.
     ///
     /// # Panics
     ///
     /// Panics if the instance is not busy with `request`.
-    pub fn crash(&mut self, request: RequestId) {
+    pub fn crash(&mut self, request: RequestId, now: SimTime) -> (SimTime, SimTime) {
         match self.state {
             InstanceState::Busy { request: current } if current == request => {
-                self.state = InstanceState::Dead;
-                self.epoch += 1;
+                let busy = self.end_busy(now);
+                (busy, self.die(now))
             }
             _ => panic!("crash({request}) on {:?}", self.state),
         }
     }
 
     /// Purge (fault injection): `Idle → Dead` whatever the keep-alive
-    /// deadline. Returns whether the instance died.
-    pub fn purge(&mut self) -> bool {
-        if self.is_idle() {
-            self.state = InstanceState::Dead;
-            self.epoch += 1;
-            true
-        } else {
-            false
-        }
+    /// deadline. Returns the lifetime this closes, `None` (and no state
+    /// change) unless the instance was idle.
+    pub fn purge(&mut self, now: SimTime) -> Option<SimTime> {
+        self.is_idle().then(|| self.die(now))
+    }
+
+    fn end_busy(&mut self, now: SimTime) -> SimTime {
+        now - self.busy_since.take().expect("a busy instance records its start")
+    }
+
+    /// `→ Dead` for a live instance, returning the lifetime this closes.
+    fn die(&mut self, now: SimTime) -> SimTime {
+        self.state = InstanceState::Dead;
+        self.epoch += 1;
+        now - self.alive_since.take().expect("a live instance records its boot")
     }
 
     /// Records `key` as the keep-alive deadline of the current idle epoch.
@@ -227,10 +242,11 @@ impl Instance {
         Some(deadline)
     }
 
-    /// The keep-alive timer with sequence number `seq` fired. A deadline
-    /// is only recorded while idle and every transition bumps the epoch,
-    /// so a deadline of the current epoch means the instance is idle.
-    pub fn fire_keepalive(&mut self, seq: u64) -> KeepAliveFire {
+    /// The keep-alive timer with sequence number `seq` fired at `now`. A
+    /// deadline is only recorded while idle and every transition bumps the
+    /// epoch, so a deadline of the current epoch means the instance is
+    /// idle.
+    pub fn fire_keepalive(&mut self, seq: u64, now: SimTime) -> KeepAliveFire {
         if self.timer.is_none_or(|timer| timer.seq != seq) {
             return KeepAliveFire::Ignored;
         }
@@ -239,9 +255,7 @@ impl Instance {
             Some((deadline, epoch)) if epoch == self.epoch => {
                 debug_assert!(self.is_idle());
                 if deadline.seq == seq {
-                    self.state = InstanceState::Dead;
-                    self.epoch += 1;
-                    KeepAliveFire::Reaped
+                    KeepAliveFire::Reaped(self.die(now))
                 } else {
                     self.timer = Some(deadline);
                     KeepAliveFire::Rearm(deadline)
@@ -273,11 +287,11 @@ mod tests {
         assert!(inst.is_booting());
         inst.boot_complete(MS(100.0));
         assert!(inst.is_idle());
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(120.0));
         assert!(inst.is_busy());
-        inst.release(rid(1), MS(150.0));
+        assert_eq!(inst.release(rid(1), MS(150.0)), MS(30.0), "the busy span it closes");
         assert!(inst.is_idle());
-        assert_eq!(inst.served(), 1);
+        assert_eq!(inst.alive_since(), Some(MS(100.0)));
     }
 
     fn key(ms: f64, seq: u64) -> EventKey {
@@ -289,15 +303,15 @@ mod tests {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
         assert_eq!(inst.arm_keepalive(key(110.0, 1)), Some(key(110.0, 1)));
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
         inst.release(rid(1), MS(20.0));
         // A later deadline waits behind the queued timer.
         assert_eq!(inst.arm_keepalive(key(120.0, 2)), None);
         // The first epoch's timer finds the instance idle in a later epoch
         // and re-arms at that epoch's exact key.
-        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Rearm(key(120.0, 2)));
+        assert_eq!(inst.fire_keepalive(1, MS(1000.0)), KeepAliveFire::Rearm(key(120.0, 2)));
         assert!(inst.is_idle());
-        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
+        assert_eq!(inst.fire_keepalive(2, MS(1000.0)), KeepAliveFire::Reaped(MS(990.0)));
         assert!(inst.is_dead());
     }
 
@@ -306,8 +320,8 @@ mod tests {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
         assert!(inst.arm_keepalive(key(110.0, 1)).is_some());
-        inst.assign(rid(1));
-        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
+        inst.assign(rid(1), MS(0.0));
+        assert_eq!(inst.fire_keepalive(1, MS(1000.0)), KeepAliveFire::Ignored);
         assert!(inst.is_busy());
         // The dropped timer is no longer tracked: the next idle epoch
         // queues a fresh one even though its deadline is later.
@@ -320,13 +334,13 @@ mod tests {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
         assert!(inst.arm_keepalive(key(900.0, 1)).is_some());
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
         inst.release(rid(1), MS(20.0));
         // A shorter draw in a later epoch beats the queued timer.
         assert_eq!(inst.arm_keepalive(key(400.0, 2)), Some(key(400.0, 2)));
-        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
+        assert_eq!(inst.fire_keepalive(2, MS(1000.0)), KeepAliveFire::Reaped(MS(990.0)));
         // The superseded timer is ignored when it fires.
-        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
+        assert_eq!(inst.fire_keepalive(1, MS(1000.0)), KeepAliveFire::Ignored);
     }
 
     #[test]
@@ -336,25 +350,25 @@ mod tests {
         assert!(inst.arm_keepalive(key(700.0, 1)).is_some());
         assert_eq!(inst.arm_keepalive(key(300.0, 2)), Some(key(300.0, 2)));
         assert_eq!(inst.arm_keepalive(key(500.0, 3)), None);
-        assert_eq!(inst.fire_keepalive(2), KeepAliveFire::Reaped);
+        assert_eq!(inst.fire_keepalive(2, MS(1000.0)), KeepAliveFire::Reaped(MS(990.0)));
     }
 
     #[test]
     fn purge_kills_only_idle_instances() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
-        assert!(!inst.purge(), "booting instances survive a purge");
+        assert!(inst.purge(MS(5.0)).is_none(), "booting instances survive a purge");
         inst.boot_complete(MS(10.0));
         assert!(inst.arm_keepalive(key(110.0, 1)).is_some());
-        assert!(inst.purge());
+        assert_eq!(inst.purge(MS(60.0)), Some(MS(50.0)));
         assert!(inst.is_dead());
-        assert_eq!(inst.fire_keepalive(1), KeepAliveFire::Ignored);
+        assert_eq!(inst.fire_keepalive(1, MS(1000.0)), KeepAliveFire::Ignored);
     }
 
     #[test]
     #[should_panic(expected = "assign")]
     fn assign_while_booting_panics() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
     }
 
     #[test]
@@ -362,7 +376,7 @@ mod tests {
     fn release_wrong_request_panics() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
         inst.release(rid(2), MS(20.0));
     }
 
@@ -370,9 +384,9 @@ mod tests {
     fn crash_kills_busy_instance() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
         let epoch = inst.epoch();
-        inst.crash(rid(1));
+        inst.crash(rid(1), MS(30.0));
         assert!(inst.is_dead());
         assert!(inst.epoch() > epoch, "crash must invalidate pending reaps");
     }
@@ -382,8 +396,8 @@ mod tests {
     fn crash_wrong_request_panics() {
         let mut inst = Instance::boot(iid(), MS(0.0), MS(10.0));
         inst.boot_complete(MS(10.0));
-        inst.assign(rid(1));
-        inst.crash(rid(2));
+        inst.assign(rid(1), MS(0.0));
+        inst.crash(rid(2), MS(30.0));
     }
 
     #[test]
@@ -392,7 +406,7 @@ mod tests {
         let e0 = inst.epoch();
         inst.boot_complete(MS(10.0));
         let e1 = inst.epoch();
-        inst.assign(rid(1));
+        inst.assign(rid(1), MS(0.0));
         let e2 = inst.epoch();
         assert!(e0 < e1 && e1 < e2);
     }

@@ -40,15 +40,19 @@ pub mod cloud;
 pub mod config;
 pub mod dag;
 pub mod events;
+pub(crate) mod injector;
 pub mod instance;
 pub mod loadbalancer;
 pub(crate) mod loadindex;
+pub(crate) mod pool;
 pub mod request;
 pub mod scheduler;
 pub mod spec;
 pub mod storage;
+pub(crate) mod telemetry;
 pub mod testutil;
 pub mod types;
+pub(crate) mod workflow;
 
 pub use billing::ResourceUsage;
 pub use cloud::{metric, span_tag, CloudSim, CloudStats, DeployError, RequestSlabStats};

@@ -3,7 +3,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Counters for fault injection and graceful degradation, kept by the
-/// cloud alongside `CloudStats`.
+/// cloud's fault injector. The cloud's `faults_injected`,
+/// `faults_transient_errors`, `faults_crashes` and
+/// `faults_purged_instances` metrics are read from these fields.
 ///
 /// Conservation law (external requests only): every submitted request
 /// lands in exactly one terminal bucket, so

@@ -145,3 +145,71 @@ proptest! {
         prop_assert!(s.tmr >= 1.0);
     }
 }
+
+/// Every registry counter that repeats a typed counter is read from it:
+/// after a hedged scatter-gather run under composed crash, purge-storm
+/// and throttle faults with the timeline on, each of the thirteen equals
+/// its typed source. Crashes never hit a forking producer, so a plain
+/// function with failing boots runs the same faults to cover crashes and
+/// boot retries too.
+#[test]
+fn derived_metrics_equal_their_typed_sources() {
+    use faas_sim::cloud::metric;
+    use stellar_core::client::{run_workload_with, MeasureSpec};
+    use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
+    use stellar_core::deployer::{deploy, Deployment, Endpoint};
+
+    let mut runtime = RuntimeConfig::single(IatSpec::short(), 300);
+    runtime.warmup_rounds = 5;
+    runtime.policy = Some(policy::PolicySpec::preset("hedge-p95").unwrap());
+    runtime.workload = Some(workload::spec::WorkloadSpec::preset("poisson").unwrap());
+    let parts = ["crash-2pct", "purge-storm", "throttle-5pct"];
+    let parts = parts.map(|name| faults::FaultSpec::preset(name).unwrap()).to_vec();
+    let faults = faults::FaultSpec::Compose { parts }.build();
+
+    let mut seen = [0u64; 13];
+    for app in [true, false] {
+        let mut provider = aws_like();
+        if !app {
+            provider.cold_start.boot_failure_prob = 0.2;
+        }
+        let mut cloud = CloudSim::new(provider, 11);
+        let deployment = if app {
+            let dep = cloud.deploy_dag(&appsuite::scatter_gather().compile().unwrap()).unwrap();
+            let (url, name) = ("https://aws.sim/sg".to_string(), "scatter-gather".to_string());
+            Deployment { endpoints: vec![Endpoint { url, function: dep.root, name }] }
+        } else {
+            let functions = vec![StaticFunction::python_zip("fn")];
+            deploy(&mut cloud, &StaticConfig { functions }, &runtime).unwrap()
+        };
+        cloud.install_faults(faults.clone());
+        cloud.enable_timeline(SimTime::from_secs(60.0));
+        run_workload_with(&mut cloud, &deployment, &runtime, 11, &MeasureSpec::default()).unwrap();
+        cloud.run_to_idle();
+
+        let (m, stats, fault) = (cloud.metrics(), cloud.stats(), cloud.fault_stats());
+        let images = cloud.image_store_stats();
+        let joins = cloud.dag_join_stats();
+        let typed = [
+            (metric::REQUESTS_SUBMITTED, stats.submitted),
+            (metric::REQUESTS_COMPLETED, stats.completed),
+            (metric::INSTANCES_SPAWNED, stats.spawns),
+            (metric::BOOT_FAILURE_RETRIES, stats.boot_failures),
+            (metric::REQUESTS_CANCELLED, cloud.cancel_stats().cancelled),
+            (metric::IMAGE_CACHE_HITS, images.warm_hits),
+            (metric::IMAGE_CACHE_MISSES, images.fetches - images.warm_hits),
+            (metric::FAULTS_INJECTED, fault.injected),
+            (metric::FAULTS_TRANSIENT_ERRORS, fault.transient_errors),
+            (metric::FAULTS_CRASHES, fault.crashes),
+            (metric::FAULTS_PURGED_INSTANCES, fault.purged_instances),
+            (metric::JOINS_FIRED, joins.iter().map(|j| j.fired).sum()),
+            (metric::JOIN_STRAGGLERS, joins.iter().map(|j| j.stragglers).sum()),
+        ];
+        for (i, (name, value)) in typed.into_iter().enumerate() {
+            assert_eq!(m.counter(name), value, "{name} (app: {app})");
+            seen[i] += value;
+        }
+        assert!(!cloud.timeline().is_empty(), "the timeline sampled the run");
+    }
+    assert!(seen.iter().all(|&n| n > 0), "every counter must be exercised: {seen:?}");
+}
