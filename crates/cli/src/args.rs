@@ -1,6 +1,5 @@
 //! Command-line argument parsing (dependency-free).
 
-use simkit::engine::QueueKind;
 use stats::sketch::QuantileMode;
 
 /// Options of `stellar run`.
@@ -45,8 +44,6 @@ pub struct RunOptions {
     pub csv: Option<String>,
     /// Write an SVG CDF to this path.
     pub svg: Option<String>,
-    /// Event-queue backend (performance knob; results are identical).
-    pub queue: QueueKind,
     /// Quantile machinery: exact sorting or streaming sketches.
     pub quantile_mode: QuantileMode,
     /// Time every event dispatch and print a per-event-class cost table
@@ -121,8 +118,6 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Write the CSV report here instead of stdout.
     pub out: Option<String>,
-    /// Event-queue backend (performance knob; results are identical).
-    pub queue: QueueKind,
     /// Quantile machinery: exact sorting or streaming sketches.
     pub quantile_mode: QuantileMode,
     /// Time every event dispatch and print a per-event-class cost table
@@ -147,11 +142,6 @@ pub enum Command {
     SampleConfig,
     /// `stellar help` / no args / `--help`.
     Help,
-}
-
-fn parse_queue(s: &str) -> Result<QueueKind, String> {
-    QueueKind::parse(s)
-        .ok_or_else(|| format!("--queue must be adaptive, calendar or binary-heap, got {s}"))
 }
 
 fn parse_quantile_mode(s: &str) -> Result<QuantileMode, String> {
@@ -203,7 +193,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut cdf = false;
             let mut csv = None;
             let mut svg = None;
-            let mut queue = QueueKind::default();
             let mut quantile_mode = QuantileMode::default();
             let mut profile_events = false;
             while let Some(flag) = it.next() {
@@ -236,7 +225,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--cdf" => cdf = true,
                     "--csv" => csv = Some(value("--csv")?),
                     "--svg" => svg = Some(value("--svg")?),
-                    "--queue" => queue = parse_queue(&value("--queue")?)?,
                     "--quantile-mode" => {
                         quantile_mode = parse_quantile_mode(&value("--quantile-mode")?)?;
                     }
@@ -269,7 +257,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 cdf,
                 csv,
                 svg,
-                queue,
                 quantile_mode,
                 profile_events,
             }))
@@ -288,7 +275,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut apps: Vec<String> = Vec::new();
             let mut threads = 0usize;
             let mut out = None;
-            let mut queue = QueueKind::default();
             let mut quantile_mode = QuantileMode::default();
             let mut profile_events = false;
             while let Some(flag) = it.next() {
@@ -336,7 +322,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         apps = comma_list(&value("--app")?, "--app", "name or file")?
                     }
                     "--out" => out = Some(value("--out")?),
-                    "--queue" => queue = parse_queue(&value("--queue")?)?,
                     "--quantile-mode" => {
                         quantile_mode = parse_quantile_mode(&value("--quantile-mode")?)?;
                     }
@@ -365,7 +350,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 apps,
                 threads,
                 out,
-                queue,
                 quantile_mode,
                 profile_events,
             }))
@@ -468,9 +452,6 @@ RUN OPTIONS:
     --cdf                    print an ASCII CDF of end-to-end latency
     --csv <file>             write quantile CSV
     --svg <file>             write an SVG CDF plot
-    --queue <kind>           event queue: adaptive (binary heap that promotes
-                             to the calendar wheel on large runs), calendar
-                             or binary-heap [default: adaptive]
     --quantile-mode <mode>   exact (sort all samples) or sketch (stream
                              through t-digests; constant memory)
                              [default: exact]
@@ -500,8 +481,6 @@ SWEEP OPTIONS:
                              CSV (labels: provider@app)
     --threads <n>            worker threads, 0 = all cores [default: 0]
     --out <file>             write the CSV report here instead of stdout
-    --queue <kind>           event queue: adaptive, calendar or binary-heap
-                             [default: adaptive]
     --quantile-mode <mode>   exact or sketch; sketch keeps million-sample
                              sweeps in constant memory [default: exact]
     --profile-events         per-event-class cost table aggregated over
@@ -543,8 +522,6 @@ mod tests {
             "out.csv",
             "--svg",
             "out.svg",
-            "--queue",
-            "binary-heap",
             "--quantile-mode",
             "sketch",
             "--profile-events",
@@ -560,7 +537,6 @@ mod tests {
         assert!(opts.breakdown && opts.cdf);
         assert_eq!(opts.csv.as_deref(), Some("out.csv"));
         assert_eq!(opts.svg.as_deref(), Some("out.svg"));
-        assert_eq!(opts.queue, QueueKind::BinaryHeap);
         assert_eq!(opts.quantile_mode, QuantileMode::Sketch);
         assert!(opts.profile_events);
     }
@@ -572,24 +548,19 @@ mod tests {
         assert_eq!(opts.provider, "aws-like");
         assert_eq!(opts.seed, 0);
         assert!(!opts.breakdown && !opts.cdf);
-        assert_eq!(opts.queue, QueueKind::Adaptive);
         assert_eq!(opts.quantile_mode, QuantileMode::Exact);
         assert!(!opts.profile_events);
     }
 
     #[test]
-    fn bad_queue_or_quantile_mode_errors() {
+    fn bad_quantile_mode_errors() {
         let base = ["run", "--static", "a", "--runtime", "b"];
         let with = |flag: &str, v: &str| {
             let mut args = base.to_vec();
             args.extend([flag, v]);
             parse_args(&strs(&args))
         };
-        assert!(with("--queue", "fifo").is_err());
         assert!(with("--quantile-mode", "histogram").is_err());
-        assert!(with("--queue", "heap").is_ok(), "binary-heap alias");
-        assert!(with("--queue", "adaptive").is_ok(), "adaptive backend");
-        assert!(parse_args(&strs(&["sweep", "--queue", "fifo"])).is_err());
         assert!(parse_args(&strs(&["sweep", "--quantile-mode", "histogram"])).is_err());
     }
 
@@ -723,8 +694,6 @@ mod tests {
             "8",
             "--out",
             "report.csv",
-            "--queue",
-            "binary-heap",
             "--quantile-mode",
             "sketch",
             "--profile-events",
@@ -743,7 +712,6 @@ mod tests {
         assert_eq!(opts.apps, Vec::<String>::new());
         assert_eq!(opts.threads, 8);
         assert_eq!(opts.out.as_deref(), Some("report.csv"));
-        assert_eq!(opts.queue, QueueKind::BinaryHeap);
         assert_eq!(opts.quantile_mode, QuantileMode::Sketch);
         assert!(opts.profile_events);
     }
@@ -759,7 +727,6 @@ mod tests {
         assert_eq!(opts.samples, 100);
         assert_eq!(opts.threads, 0);
         assert_eq!(opts.out, None);
-        assert_eq!(opts.queue, QueueKind::Adaptive);
         assert_eq!(opts.quantile_mode, QuantileMode::Exact);
         assert!(!opts.profile_events);
         assert!(parse_args(&strs(&["sweep", "--seeds", "0"])).is_err());

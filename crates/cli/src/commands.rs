@@ -219,7 +219,6 @@ fn run(opts: &RunOptions) -> Result<String, CliError> {
         .functions(static_cfg)
         .workload(runtime_cfg)
         .seed(opts.seed)
-        .queue(opts.queue)
         .measure(measure)
         .profile_events(opts.profile_events);
     if let Some(spec) = app_spec {
@@ -401,7 +400,6 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
         QuantileMode::Sketch => MeasureSpec::sketch(),
     };
     let report = SweepRunner::new(opts.threads)
-        .queue(opts.queue)
         .measure(measure)
         .profile_events(opts.profile_events)
         .run(&grid);
@@ -574,7 +572,6 @@ fn sample_config() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::engine::QueueKind;
 
     fn write_temp(name: &str, contents: &str) -> String {
         let path = std::env::temp_dir().join(format!("stellar-cli-test-{name}"));
@@ -633,7 +630,6 @@ mod tests {
             cdf: true,
             csv: Some(csv_path.clone()),
             svg: Some(svg_path.clone()),
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -672,7 +668,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Sketch,
             profile_events: false,
         };
@@ -704,7 +699,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Adaptive,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -732,7 +726,6 @@ mod tests {
             apps: vec![],
             threads: 1,
             out: None,
-            queue: QueueKind::Adaptive,
             quantile_mode: QuantileMode::Exact,
             profile_events: true,
         }))
@@ -787,7 +780,6 @@ mod tests {
             apps: vec![],
             threads: 1,
             out: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -799,13 +791,6 @@ mod tests {
         assert!(serial.contains("cell,scenario,seed,status"));
         assert!(serial.contains("0,aws-like,0,ok,40,"));
         assert!(serial.contains("11,azure-like,3,ok,40,"));
-
-        // The queue backend is a pure performance knob: binary-heap output
-        // must be byte-identical to the calendar default.
-        let heap =
-            execute(&Command::Sweep(SweepOptions { queue: QueueKind::BinaryHeap, ..base.clone() }))
-                .unwrap();
-        assert_eq!(serial, heap, "queue backend must not change results");
 
         // Sketch mode streams through aggregates; below the exact-mode
         // threshold its quantiles (and therefore the CSV) match exactly.
@@ -834,7 +819,6 @@ mod tests {
             apps: vec![],
             threads: 0,
             out: Some(out_path.clone()),
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -868,7 +852,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -893,7 +876,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -925,7 +907,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -956,7 +937,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -977,7 +957,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         }))
@@ -999,7 +978,6 @@ mod tests {
             apps: vec![],
             threads: 1,
             out: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1010,11 +988,6 @@ mod tests {
         assert!(serial.contains("2 providers x 2 workloads x 2 seeds = 8 cells (8 ok, 0 failed)"));
         assert!(serial.contains("aws-like/mmpp-burst"), "{serial}");
         assert!(serial.contains("azure-like/poisson"), "{serial}");
-
-        // The queue backend stays a pure performance knob for spec runs.
-        let heap = execute(&Command::Sweep(SweepOptions { queue: QueueKind::BinaryHeap, ..base }))
-            .unwrap();
-        assert_eq!(serial, heap, "queue backend must not change workload-sweep results");
     }
 
     #[test]
@@ -1034,7 +1007,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1076,7 +1048,6 @@ mod tests {
             apps: vec![],
             threads: 1,
             out: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1114,7 +1085,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1167,7 +1137,6 @@ mod tests {
             apps: vec![],
             threads: 1,
             out: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1208,7 +1177,6 @@ mod tests {
             cdf: false,
             csv: None,
             svg: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };
@@ -1254,7 +1222,6 @@ mod tests {
             apps: vec!["none".into(), "thumbnail".into()],
             threads: 1,
             out: None,
-            queue: QueueKind::Calendar,
             quantile_mode: QuantileMode::Exact,
             profile_events: false,
         };

@@ -422,17 +422,17 @@ fn next_gap(process: &mut dyn ArrivalProcess, rng: &mut Rng) -> Option<SimTime> 
 /// arrival issues `cfg.burst_size` simultaneous requests; closed-loop
 /// mode and policies require `burst_size == 1`.
 ///
-/// Without a policy every submission is known up front, so they go out
-/// under the cloud's submission window, and open-loop arrivals a 10 s
-/// slice ahead; pending state stays O(slice + active requests) however
-/// long the run. With a policy the number of submissions depends on the
-/// data (a hedge fires or it does not) and its `Issued` event reads the
-/// online estimate, so the window stays closed and every arrival is a
-/// boundary of its own. A closed-loop run stops at each completion, so a
-/// user's think time starts at its response, not at the next slice. Gap
-/// draws come from a dedicated `fork("workload-gaps")` stream of `seed`,
-/// making a given spec's schedule reproducible across queue backends and
-/// thread counts.
+/// Without a policy, open-loop arrivals are submitted a 10 s slice ahead;
+/// pending state stays O(slice + active requests) however long the run.
+/// With a policy an arrival's `Issued` event reads the online estimate,
+/// so every arrival is a boundary of its own. Either way each submission
+/// draws its propagation delay from the cloud's submission stream (see
+/// [`CloudSim::submit`]), so a policy that never acts replays the run
+/// without one request for request. A closed-loop run stops at each
+/// completion, so a user's think time starts at its response, not at the
+/// next slice. Gap draws come from a dedicated `fork("workload-gaps")`
+/// stream of `seed`, making a given spec's schedule reproducible across
+/// queue backends and thread counts.
 ///
 /// The result's [`RunResult::offered`] summarizes the load actually
 /// submitted. Finite processes (e.g. trace replay) may exhaust before
@@ -480,13 +480,9 @@ pub fn run_workload_spec(
     let burst = u64::from(cfg.burst_size);
     let multi_source = process.sources() > 1;
     let mut policy = cfg.policy.as_ref().map(|p| Policy::new(p, seed, total, cloud));
-    let windowed = policy.is_none();
-    let ahead = windowed && !closed;
+    let ahead = policy.is_none() && !closed;
     let slice = if ahead { AHEAD_SLICE } else { SLICE };
     cloud.reserve_event_hint((total * burst) as usize);
-    if windowed {
-        cloud.open_submission_window((total * burst) as usize);
-    }
 
     let mut collector = Collector::new(measure, u64::from(cfg.warmup_rounds));
     let mut recorder = LoadRecorder::default();
@@ -649,9 +645,6 @@ pub fn run_workload_spec(
         // Settle cancellations issued at the final boundary so the
         // wasted-work accounting sees them.
         cloud.run_until(cloud.now());
-    }
-    if windowed {
-        cloud.close_submission_window();
     }
     while let Some(Reverse(ns)) = record_heap.pop() {
         recorder.record(ns as f64 / 1e6);

@@ -456,6 +456,10 @@ mod tests {
         assert_eq!(stats.extra_launches, 42, "300 ms execution hedges every request");
     }
 
+    /// The `none` and policy arms of a comparison see one arrival train,
+    /// and a policy that never acts replays the `none` arm request for
+    /// request: every submission draws its propagation delay from the
+    /// cloud's submission stream, policy or not.
     #[test]
     fn policy_arms_of_an_iat_config_share_one_arrival_train() {
         let mut runtime = RuntimeConfig::single(IatSpec::Exponential { mean_ms: 400.0 }, 40);
@@ -475,6 +479,41 @@ mod tests {
             (plain.window_ms, hedged.window_ms),
         ] {
             assert_eq!(a.to_bits(), b.to_bits(), "{plain:?} vs {hedged:?}");
+        }
+
+        // A jittered propagation delay, so the arms would diverge if a
+        // submission's draw depended on what the cloud drew before it.
+        let mut provider = test_provider();
+        provider.network.prop_delay_ms = simkit::dist::Dist::lognormal_median_p99(10.0, 40.0);
+        let mut runtime = RuntimeConfig::single(IatSpec::short(), 400);
+        runtime.warmup_rounds = 10;
+        runtime.workload = workload::spec::WorkloadSpec::preset("mmpp-burst");
+        let latencies = |runtime: RuntimeConfig| {
+            let outcome =
+                Experiment::new(provider.clone()).workload(runtime).seed(3).run().unwrap();
+            let mut done: Vec<(u64, u64)> = outcome
+                .result
+                .completions
+                .iter()
+                .map(|c| (c.tag, c.latency_ms().to_bits()))
+                .collect();
+            done.sort_unstable();
+            done
+        };
+        let none = latencies(runtime.clone());
+        assert_eq!(none.len(), 400);
+        let never_acting = [
+            policy::PolicySpec::Hedge {
+                threshold: policy::ThresholdSpec::Static { ms: 1e12 },
+                max_hedges: 1,
+            },
+            policy::PolicySpec::Deadline { deadline_ms: 1e12 },
+        ];
+        for spec in never_acting {
+            let label = format!("{spec:?}");
+            let got = latencies(runtime.clone().with_policy(spec));
+            let first_diff = got.iter().zip(&none).position(|(a, b)| a != b);
+            assert_eq!((got.len(), first_diff), (none.len(), None), "{label}: first moved request");
         }
     }
 

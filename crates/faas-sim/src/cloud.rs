@@ -15,7 +15,7 @@
 //! of draws across components is part of every pinned result.
 
 use simkit::calqueue::CalQueueStats;
-use simkit::engine::{Model, Scheduler, SeqBlock, Simulation};
+use simkit::engine::{Model, Scheduler, Simulation};
 use simkit::metrics::Metrics;
 use simkit::rng::Rng;
 use simkit::soa::EventKey;
@@ -149,13 +149,14 @@ fn commit_cap(policy: &ScalePolicy, service_estimate_ms: f64) -> Option<usize> {
 
 /// The labelled forks of the run seed that the handlers draw from
 /// directly: each feeds several components (`net`, `cold`, `lb`) or one
-/// request-path handler (`path`, `exec`).
+/// request-path handler (`path`, `exec`). `submission` feeds
+/// [`CloudSim::submit`] alone, so an external request's propagation delay
+/// depends only on how many were submitted before it, never on what the
+/// handlers drew in between.
 #[derive(Debug)]
 struct Streams {
     net: Rng,
-    /// Detached network stream of an open submission window (see
-    /// [`CloudSim::open_submission_window`]).
-    submission: Option<Rng>,
+    submission: Rng,
     path: Rng,
     exec: Rng,
     cold: Rng,
@@ -221,7 +222,7 @@ impl Cloud {
             },
             streams: Streams {
                 net: root.fork("network"),
-                submission: None,
+                submission: root.fork("submission"),
                 path: root.fork("warm-path"),
                 exec: root.fork("exec"),
                 cold: root.fork("cold-start"),
@@ -370,10 +371,6 @@ impl Model for Cloud {
 #[derive(Debug)]
 pub struct CloudSim {
     sim: Simulation<Cloud>,
-    /// Reserved sequence numbers for the open submission window (if any):
-    /// arrival events scheduled through `submit` consume these so
-    /// interleaved submission reproduces an up-front pass's tie-breaking.
-    seq_block: Option<SeqBlock>,
 }
 
 impl CloudSim {
@@ -383,7 +380,7 @@ impl CloudSim {
     ///
     /// Panics if the configuration fails validation.
     pub fn new(cfg: ProviderConfig, seed: u64) -> CloudSim {
-        CloudSim { sim: Simulation::new(Cloud::new(cfg, seed)), seq_block: None }
+        CloudSim { sim: Simulation::new(Cloud::new(cfg, seed)) }
     }
 
     /// Creates a cloud with an explicit event-queue backend. Results are
@@ -399,7 +396,7 @@ impl CloudSim {
         seed: u64,
         queue: simkit::engine::QueueKind,
     ) -> CloudSim {
-        CloudSim { sim: Simulation::with_queue(Cloud::new(cfg, seed), queue), seq_block: None }
+        CloudSim { sim: Simulation::with_queue(Cloud::new(cfg, seed), queue) }
     }
 
     /// Deploys one function with no out-edges; returns its id for
@@ -524,6 +521,14 @@ impl CloudSim {
     /// Submits an external invocation of `function` issued at `at`,
     /// tagged with a caller-chosen `tag`. Returns the request id.
     ///
+    /// The propagation delay to the front end comes from the cloud's own
+    /// `submission` stream, which nothing else draws from: the k-th
+    /// submission draws the same delay however submissions interleave
+    /// with event processing, so a driver may submit up front, a slice
+    /// ahead or just in time, and a client policy that never acts replays
+    /// the run without one. The arrival event takes the next sequence
+    /// number like any other event.
+    ///
     /// # Panics
     ///
     /// Panics if `function` was not deployed or `at` is in the simulated
@@ -536,54 +541,14 @@ impl CloudSim {
         let cloud = self.sim.model_mut();
         cloud.ledger.stats.submitted += 1;
         cloud.faults.submitted();
-        let streams = &mut cloud.streams;
-        let rng = streams.submission.as_mut().unwrap_or(&mut streams.net);
-        let prop_ms = cloud.cfg.network.prop_delay_ms.sample(rng) * cloud.faults.inflation(at);
+        let prop_ms = cloud.cfg.network.prop_delay_ms.sample(&mut cloud.streams.submission)
+            * cloud.faults.inflation(at);
         let rid = cloud.create_request(function, RequestOrigin::External, tag, at, None);
         cloud.cold_mut(rid).breakdown.prop_out_ms = prop_ms;
-        cloud.emit_span(rid, span_tag::PROPAGATION, at, at + SimTime::from_millis(prop_ms));
-        let (arrive_at, event) =
-            (at + SimTime::from_millis(prop_ms), CloudEvent::FrontendArrive(rid));
-        match self.seq_block.as_mut() {
-            Some(block) => self.sim.schedule_at_with_seq(arrive_at, block.take(), event),
-            None => self.sim.schedule_at(arrive_at, event),
-        }
+        let arrive_at = at + SimTime::from_millis(prop_ms);
+        cloud.emit_span(rid, span_tag::PROPAGATION, at, arrive_at);
+        self.sim.schedule_at(arrive_at, CloudEvent::FrontendArrive(rid));
         rid
-    }
-
-    /// Opens a *submission window* for `expected` upcoming external
-    /// submissions that will be interleaved with event processing (the
-    /// streaming workload driver's shape).
-    ///
-    /// The window keeps an interleaved run bit-identical to an up-front
-    /// submission pass. **RNG order:** it clones the network stream for
-    /// `submit`'s propagation draws and fast-forwards the live one past
-    /// the `expected` draws, so handlers never see them mingled.
-    /// **Tie-breaking:** it reserves `expected` sequence numbers, one per
-    /// `submit`, stamping arrivals as an up-front pass would have.
-    /// Submitting more than `expected` requests panics; leftovers of
-    /// fewer are abandoned at [`CloudSim::close_submission_window`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window is already open.
-    pub fn open_submission_window(&mut self, expected: usize) {
-        let cloud = self.sim.model_mut();
-        assert!(cloud.streams.submission.is_none(), "submission window already open");
-        let window = cloud.streams.net.clone();
-        for _ in 0..expected {
-            let _ = cloud.cfg.network.prop_delay_ms.sample(&mut cloud.streams.net);
-        }
-        cloud.streams.submission = Some(window);
-        self.seq_block = Some(self.sim.reserve_seq_block(expected as u64));
-    }
-
-    /// Closes the submission window opened by
-    /// [`CloudSim::open_submission_window`]; `submit` reverts to drawing
-    /// from the live network stream. Idempotent.
-    pub fn close_submission_window(&mut self) {
-        self.sim.model_mut().streams.submission = None;
-        self.seq_block = None;
     }
 
     /// Advances the simulation until `horizon` (inclusive).

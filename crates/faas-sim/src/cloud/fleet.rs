@@ -170,10 +170,7 @@ impl Cloud {
             return;
         }
         let timeout = self.cfg.keepalive.idle_timeout_ms.sample(&mut self.streams.cold);
-        let deadline = EventKey {
-            at: now + SimTime::from_millis(timeout),
-            seq: sched.reserve_seq_block(1).take(),
-        };
+        let deadline = EventKey { at: now + SimTime::from_millis(timeout), seq: sched.take_seq() };
         self.liveness.last_deadline = self.liveness.last_deadline.max(Some(deadline));
         if let Some(timer) = self.pool_mut(iid.function()).arm_keepalive(iid.idx, deadline) {
             sched.schedule_at_with_seq(timer.at, timer.seq, CloudEvent::ReapCheck(iid, timer.seq));

@@ -31,8 +31,8 @@ struct Slot {
     /// policies: `PerRequest`, `TargetConcurrency`, `CostAware`).
     committed: VecDeque<RequestId>,
     /// The request this instance was spawned for after a load-balancer
-    /// miss, assigned when the boot completes. The instance's load
-    /// deliberately excludes it, so a committed policy can queue another
+    /// miss, assigned when the boot completes. It counts in the
+    /// instance's load, so a committed policy does not queue another
     /// request behind a booting instance that already has one waiting.
     sticky: Option<RequestId>,
     /// Cold-start attribution of the boot, handed to the first request
@@ -50,9 +50,9 @@ pub(crate) struct InstancePool {
     committed_total: u32,
     /// Slots believed idle (validated on pop).
     idle_stack: Vec<u32>,
-    /// Slot loads (commitments plus the request in service), dead slots
-    /// pinned out: answers "least loaded, lowest index" without scanning
-    /// the dead slots that are never removed.
+    /// Slot loads (commitments, the pinned request and the request in
+    /// service), dead slots pinned out: answers "least loaded, lowest
+    /// index" without scanning the dead slots that are never removed.
     loads: LoadIndex,
     idle: u32,
     busy: u32,
@@ -130,6 +130,7 @@ impl InstancePool {
     /// Binds `rid` to booting instance `idx`, spawned for it.
     pub(crate) fn pin(&mut self, idx: u32, rid: RequestId) {
         self.slots[idx as usize].sticky = Some(rid);
+        self.loads.add(idx as usize, 1);
     }
 
     /// `Booting → Idle`. Returns the request the instance was spawned
@@ -140,7 +141,11 @@ impl InstancePool {
         self.booting -= 1;
         self.idle += 1;
         self.idle_stack.push(idx);
-        slot.sticky.take()
+        let sticky = slot.sticky.take();
+        if sticky.is_some() {
+            self.loads.sub(idx as usize, 1);
+        }
+        sticky
     }
 
     /// `Booting → Dead`. The pinned request and the commitments move to
@@ -152,7 +157,8 @@ impl InstancePool {
         let orphaned = std::mem::take(&mut slot.committed);
         self.loads.unlive(idx as usize);
         self.booting -= 1;
-        self.loads.add(replacement as usize, orphaned.len() as u32);
+        let moved = orphaned.len() as u32 + u32::from(sticky.is_some());
+        self.loads.add(replacement as usize, moved);
         let heir = &mut self.slots[replacement as usize];
         heir.sticky = sticky;
         heir.committed.extend(orphaned);
@@ -258,12 +264,14 @@ impl InstancePool {
         best.map(|(load, idx)| (load, idx as u32))
     }
 
-    /// Ground-truth load of slot `idx`: commitments plus the request in
-    /// service.
+    /// Ground-truth load of slot `idx`: commitments, the pinned request
+    /// and the request in service.
     #[cfg(any(test, debug_assertions))]
     fn load(&self, idx: usize) -> u32 {
         let slot = &self.slots[idx];
-        slot.committed.len() as u32 + u32::from(slot.instance.is_busy())
+        slot.committed.len() as u32
+            + u32::from(slot.sticky.is_some())
+            + u32::from(slot.instance.is_busy())
     }
 
     /// Appends `rid` to the shared queue.
@@ -399,6 +407,7 @@ mod tests {
         Spawn,
         Boot(usize),
         FailBoot(usize),
+        Pin(usize),
         Assign(usize),
         Commit(usize),
         Release(usize),
@@ -419,6 +428,7 @@ mod tests {
             k().prop_map(Op::Boot),
             k().prop_map(Op::Boot),
             k().prop_map(Op::FailBoot),
+            k().prop_map(Op::Pin),
             k().prop_map(Op::Assign),
             k().prop_map(Op::Assign),
             k().prop_map(Op::Commit),
@@ -521,6 +531,12 @@ mod tests {
                     Op::FailBoot(k) if inst(&pool, k).is_some_and(|i| i.is_booting()) => {
                         let replacement = spawn(&mut pool, now);
                         pool.fail_boot(pick(k), replacement);
+                    }
+                    Op::Pin(k)
+                        if inst(&pool, k).is_some_and(|i| i.is_booting())
+                            && pool.slots[pick(k) as usize].sticky.is_none() =>
+                    {
+                        pool.pin(pick(k), fresh());
                     }
                     Op::Assign(k) if inst(&pool, k).is_some_and(|i| i.is_idle()) => {
                         pool.assign(pick(k), fresh(), now);

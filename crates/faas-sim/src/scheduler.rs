@@ -18,7 +18,6 @@ pub struct SpawnGovernor {
     boosted: Option<TokenBucket>,
     threshold: u32,
     pending: u32,
-    total_spawns: u64,
 }
 
 impl SpawnGovernor {
@@ -32,7 +31,6 @@ impl SpawnGovernor {
             boosted,
             threshold: cfg.adaptive_spawn_threshold,
             pending: 0,
-            total_spawns: 0,
         }
     }
 
@@ -41,7 +39,6 @@ impl SpawnGovernor {
     /// actually begins so the backlog count stays accurate.
     pub fn reserve(&mut self, now: SimTime) -> SimTime {
         self.pending += 1;
-        self.total_spawns += 1;
         let use_boost = self.threshold > 0 && self.pending >= self.threshold;
         match (&mut self.boosted, use_boost) {
             (Some(fast), true) => {
@@ -62,11 +59,6 @@ impl SpawnGovernor {
     /// Marks a reserved spawn as started (boot beginning).
     pub fn spawn_started(&mut self) {
         self.pending = self.pending.saturating_sub(1);
-    }
-
-    /// Spawns reserved so far.
-    pub fn total_spawns(&self) -> u64 {
-        self.total_spawns
     }
 
     /// Current reserved-but-not-started backlog.
@@ -158,7 +150,6 @@ mod tests {
         assert_eq!(gov.reserve(t0), t0);
         assert_eq!(gov.reserve(t0), SimTime::from_millis(100.0));
         assert_eq!(gov.reserve(t0), SimTime::from_millis(200.0));
-        assert_eq!(gov.total_spawns(), 4);
     }
 
     #[test]

@@ -305,6 +305,36 @@ fn lb_miss_forces_dedicated_cold_start() {
     assert_eq!(done.iter().filter(|c| c.cold).count(), 4);
 }
 
+/// A request waiting for the instance spawned for it after a
+/// load-balancer miss counts in that instance's load: with one instance
+/// busy and the other booting for its missed request, a third request is
+/// committed behind the busy one (free at about 1.26 s) rather than
+/// queued behind the booting one's pinned request.
+#[test]
+fn pinned_request_counts_in_its_booting_instance_load() {
+    let mut cfg = test_provider();
+    cfg.dispatch.miss_prob = 1.0;
+    cfg.limits.max_instances_per_function = 2;
+    let mut cloud = CloudSim::new(cfg, 13);
+    let f = cloud.deploy(FunctionSpec::builder("f").exec_constant_ms(1_000.0).build()).unwrap();
+    for (i, at_ms) in [0.0, 500.0, 510.0].into_iter().enumerate() {
+        cloud.submit(f, i as u64, SimTime::from_millis(at_ms));
+    }
+    cloud.run_until(SEC(30.0));
+    let mut done = cloud.drain_completions();
+    done.sort_by_key(|c| c.tag);
+    assert_eq!(done.len(), 3);
+    assert_eq!(cloud.stats().lb_misses, 1, "the second request misses, the third has no headroom");
+    assert_eq!(cloud.stats().spawns, 2);
+    let third = &done[2];
+    assert!(!third.cold, "the third request runs warm on the first instance");
+    assert!(
+        third.completed_at < done[0].completed_at + SEC(1.1),
+        "the third request waited behind the booting instance: done at {}",
+        third.completed_at
+    );
+}
+
 #[test]
 fn memory_throttling_slows_execution() {
     let mut cloud = CloudSim::new(test_provider(), 14);
@@ -451,8 +481,9 @@ fn slab_high_water_tracks_concurrency_not_total() {
 
 #[test]
 fn submission_window_matches_up_front_submission() {
-    // Interleaving submission with event processing under an open window
-    // must replay the exact results of submitting everything up front.
+    // Submissions draw from their own stream, so interleaving them with
+    // event processing replays the exact results of submitting
+    // everything up front.
     let up_front = {
         let mut cloud = CloudSim::new(test_provider(), 33);
         let f = cloud.deploy(FunctionSpec::builder("f").exec_constant_ms(40.0).build()).unwrap();
@@ -465,7 +496,6 @@ fn submission_window_matches_up_front_submission() {
     let interleaved = {
         let mut cloud = CloudSim::new(test_provider(), 33);
         let f = cloud.deploy(FunctionSpec::builder("f").exec_constant_ms(40.0).build()).unwrap();
-        cloud.open_submission_window(50);
         for i in 0..50u64 {
             let at = SimTime::from_millis(100.0 * i as f64);
             // Drain the event queue right up to the submission instant
@@ -473,7 +503,6 @@ fn submission_window_matches_up_front_submission() {
             cloud.run_until(at);
             cloud.submit(f, i, at);
         }
-        cloud.close_submission_window();
         cloud.run_until(SEC(60.0));
         cloud.drain_completions()
     };

@@ -40,28 +40,6 @@ pub enum QueueKind {
     Adaptive,
 }
 
-impl QueueKind {
-    /// Parses the CLI spelling of a queue kind (`"adaptive"`,
-    /// `"calendar"` or `"binary-heap"`).
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "adaptive" => Some(QueueKind::Adaptive),
-            "calendar" => Some(QueueKind::Calendar),
-            "binary-heap" | "binary_heap" | "heap" => Some(QueueKind::BinaryHeap),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this queue kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QueueKind::BinaryHeap => "binary-heap",
-            QueueKind::Calendar => "calendar",
-            QueueKind::Adaptive => "adaptive",
-        }
-    }
-}
-
 /// Pending-event count past which the adaptive backend abandons its
 /// binary heap for the calendar queue.
 ///
@@ -200,40 +178,6 @@ impl<E> Backend<E> {
     }
 }
 
-/// A contiguous block of sequence numbers reserved up front via
-/// [`Scheduler::reserve_seq_block`], consumed one at a time with
-/// [`SeqBlock::take`].
-///
-/// Reserving lets a driver that *interleaves* submissions with event
-/// processing (a streaming workload generator) stamp its submissions with
-/// the exact sequence numbers a submit-everything-up-front driver would
-/// have used — so timestamp ties still break identically and both drivers
-/// dispatch the same total event order.
-#[derive(Debug, Clone)]
-pub struct SeqBlock {
-    next: u64,
-    end: u64,
-}
-
-impl SeqBlock {
-    /// Takes the next sequence number from the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is exhausted.
-    pub fn take(&mut self) -> u64 {
-        assert!(self.next < self.end, "seq block exhausted at {}", self.end);
-        let seq = self.next;
-        self.next += 1;
-        seq
-    }
-
-    /// Sequence numbers left in the block.
-    pub fn remaining(&self) -> u64 {
-        self.end - self.next
-    }
-}
-
 /// The pending-event queue handed to [`Model::handle`].
 ///
 /// # Tie-break / monotonicity contract
@@ -244,9 +188,12 @@ impl SeqBlock {
 /// horizon, not by the queue draining empty. Dispatch order is ascending
 /// `(time, seq)`, so events sharing a timestamp are delivered in exactly
 /// the order they were scheduled (FIFO), even when their `schedule_at`
-/// calls are separated by any number of `run_until` horizons. Both queue
-/// backends ([`QueueKind`]) honor this total order bit-for-bit, which is
-/// what keeps simulations deterministic and backend-independent.
+/// calls are separated by any number of `run_until` horizons. Every queue
+/// backend ([`QueueKind`]) honors this total order bit-for-bit, which is
+/// what keeps simulations deterministic and backend-independent. The one
+/// exception to "stamped when scheduled" is a number taken ahead with
+/// [`Scheduler::take_seq`] for an event queued later, such as a timer
+/// that may be superseded before it is ever queued.
 pub struct Scheduler<E> {
     queue: Backend<E>,
     seq: u64,
@@ -295,26 +242,24 @@ impl<E> Scheduler<E> {
         self.schedule_at(now + delay, event);
     }
 
-    /// Reserves the next `count` sequence numbers as a [`SeqBlock`] and
-    /// advances the internal counter past them. Subsequent plain
-    /// `schedule_at` calls stamp later numbers, so block-stamped events
-    /// win FIFO ties against everything scheduled after the reservation —
-    /// exactly as if they had all been scheduled at reservation time.
-    pub fn reserve_seq_block(&mut self, count: u64) -> SeqBlock {
-        let start = self.seq;
-        self.seq += count;
-        SeqBlock { next: start, end: start + count }
+    /// Takes the next sequence number without scheduling anything, for
+    /// an event that may be queued later (or never) and must order as if
+    /// it had been scheduled now (see [`Scheduler::schedule_at_with_seq`]).
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
-    /// Schedules `event` at `at` with an explicit sequence number taken
-    /// from a [`SeqBlock`].
+    /// Schedules `event` at `at` under a sequence number taken earlier
+    /// with [`Scheduler::take_seq`].
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the simulated past or `seq` was never reserved.
+    /// Panics if `at` is in the simulated past or `seq` was never taken.
     pub fn schedule_at_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(at >= self.now, "cannot schedule in the past: {at} < {}", self.now);
-        assert!(seq < self.seq, "seq {seq} was not reserved");
+        assert!(seq < self.seq, "seq {seq} was not taken");
         if self.queue.push(EventKey { at, seq }, event) {
             self.promotions += 1;
         }
@@ -482,18 +427,6 @@ impl<M: Model> Simulation<M> {
     /// Schedules an event at absolute time `at` (before or during a run).
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         self.sched.schedule_at(at, event);
-    }
-
-    /// Reserves a block of sequence numbers (see
-    /// [`Scheduler::reserve_seq_block`]).
-    pub fn reserve_seq_block(&mut self, count: u64) -> SeqBlock {
-        self.sched.reserve_seq_block(count)
-    }
-
-    /// Schedules an event with an explicitly reserved sequence number (see
-    /// [`Scheduler::schedule_at_with_seq`]).
-    pub fn schedule_at_with_seq(&mut self, at: SimTime, seq: u64, event: M::Event) {
-        self.sched.schedule_at_with_seq(at, seq, event);
     }
 
     /// Event-queue self-correction counters (see
@@ -816,12 +749,11 @@ mod tests {
             if profiled {
                 sim.enable_event_profiling();
             }
-            let mut block = sim.reserve_seq_block(3);
-            let (a, b, c) = (block.take(), block.take(), block.take());
+            let (a, b, c) = (sim.sched.take_seq(), sim.sched.take_seq(), sim.sched.take_seq());
             // Scheduled out of seq order; dispatch is by (time, seq).
-            sim.schedule_at_with_seq(SimTime::from_millis(2.0), a, Stamped(a));
-            sim.schedule_at_with_seq(SimTime::from_millis(1.0), c, Stamped(c));
-            sim.schedule_at_with_seq(SimTime::from_millis(1.0), b, Stamped(b));
+            sim.sched.schedule_at_with_seq(SimTime::from_millis(2.0), a, Stamped(a));
+            sim.sched.schedule_at_with_seq(SimTime::from_millis(1.0), c, Stamped(c));
+            sim.sched.schedule_at_with_seq(SimTime::from_millis(1.0), b, Stamped(b));
             sim.run_until(SimTime::from_millis(1.0));
             assert!(sim.step());
             assert_eq!(sim.model().0, vec![b, c, a], "profiled {profiled}");
@@ -889,33 +821,20 @@ mod tests {
         assert_eq!(sim.model().seen, vec![(SimTime::from_millis(1.0), 1)]);
     }
 
-    /// Events stamped from a reserved block win FIFO ties against events
-    /// scheduled *after* the reservation, even when the block-stamped
-    /// schedule calls happen later in real order — the property the
-    /// streaming submission driver relies on.
+    /// An event queued under a number taken earlier wins FIFO ties
+    /// against everything scheduled after the take, on every backend —
+    /// the property a keep-alive timer queued only later relies on.
     #[test]
-    fn reserved_seq_block_reproduces_up_front_order() {
+    fn taken_seq_orders_as_if_scheduled_when_taken() {
         for kind in [QueueKind::BinaryHeap, QueueKind::Calendar, QueueKind::Adaptive] {
             let t = SimTime::from_millis(10.0);
-            // Reference: everything scheduled up front, in FIFO order.
-            let mut up_front = Simulation::with_queue(Recorder::default(), kind);
-            for id in 0..5 {
-                up_front.schedule_at(t, Ev::Mark(id));
-            }
-            up_front.schedule_at(t, Ev::Mark(100));
-            up_front.run();
-
-            // Interleaved: reserve the first five seqs, schedule the late
-            // event first, then fill in the reserved block.
-            let mut interleaved = Simulation::with_queue(Recorder::default(), kind);
-            let mut block = interleaved.reserve_seq_block(5);
-            interleaved.schedule_at(t, Ev::Mark(100));
-            for id in 0..5 {
-                interleaved.schedule_at_with_seq(t, block.take(), Ev::Mark(id));
-            }
-            assert_eq!(block.remaining(), 0);
-            interleaved.run();
-            assert_eq!(up_front.model().seen, interleaved.model().seen, "backend {kind:?}");
+            let mut sim = Simulation::with_queue(Recorder::default(), kind);
+            let early = sim.sched.take_seq();
+            sim.schedule_at(t, Ev::Mark(1));
+            sim.sched.schedule_at_with_seq(t, early, Ev::Mark(0));
+            sim.run();
+            let ids: Vec<u32> = sim.model().seen.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids, vec![0, 1], "backend {kind:?}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Golden regression pins for the streaming client path.
 //!
 //! The bit-exact constants below pin the client's one open-loop driver
-//! (just-in-time submission under a submission window, drained in
-//! slices), the cloud and the engine: any change to them shows up as
-//! moved counts, simulated duration or latency aggregate bits.
+//! (submission a slice ahead, drained in slices), the cloud and the
+//! engine: any change to them shows up as moved counts, simulated
+//! duration or latency aggregate bits.
 
 use stellar_core::client::{run_workload_spec, run_workload_with, MeasureSpec};
 use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig, StaticFunction};
@@ -230,12 +230,12 @@ fn large_hedged_run_matches_golden() {
     );
     assert_eq!(
         digest(&r),
-        "measured=6000 warmup=10 cold=79 dur_ns=267798096944 mean=0x4049a360d2a3ac12 p50=0x4046376ff9134422 p99=0x40716b4795703f2e",
+        "measured=6000 warmup=10 cold=88 dur_ns=267802268916 mean=0x4049c870be1125b9 p50=0x40463c5e4f954c75 p99=0x407130fc87db2b34",
         "hedged latency digest drifted"
     );
     assert_eq!(
         policy,
-        "logical=6010 extra=108 cancels=108 dup=12 abandoned=0 failures=0 failed_logical=0 used=0x40e5ad83a1b51787 wasted=0x40718187530cce7e",
+        "logical=6010 extra=97 cancels=97 dup=16 abandoned=0 failures=0 failed_logical=0 used=0x40e5a4018b93dcbb wasted=0x407623ad2e0a2aaf",
         "hedged PolicyStats drifted"
     );
 }
@@ -307,7 +307,7 @@ fn committed_dispatch_matches_golden() {
             workload: "multi-tenant",
             samples: 200_000,
             faults: None,
-            digest: "measured=200000 warmup=10 cold=1409 dur_ns=5263827022176 mean=0x4048c43fc45026a8 p50=0x4046270dcb6ba579 p99=0x405dfeb776285b11 spawned=1419 cold_starts=1419 warm_starts=198591 boot_retries=0 purged=0 slots_hw=673",
+            digest: "measured=200000 warmup=10 cold=1465 dur_ns=5263827022176 mean=0x4048cd946ca52358 p50=0x4046256ad70a6075 p99=0x405e8a67b953279c spawned=1475 cold_starts=1475 warm_starts=198535 boot_retries=0 purged=0 slots_hw=673",
         },
         DispatchGolden {
             label: "google-target-4",
@@ -315,7 +315,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 20_000,
             faults: None,
-            digest: "measured=20000 warmup=10 cold=51 dur_ns=1029475888861 mean=0x404165de0d2eff84 p50=0x403f135181e24582 p99=0x404ec5af23b62f42 spawned=54 cold_starts=54 warm_starts=19956 boot_retries=0 purged=0 slots_hw=520",
+            digest: "measured=20000 warmup=10 cold=48 dur_ns=1029475888861 mean=0x40415456f94d2219 p50=0x403f0b34a4fb40a4 p99=0x404edc510729d7c9 spawned=51 cold_starts=51 warm_starts=19959 boot_retries=0 purged=0 slots_hw=520",
         },
         DispatchGolden {
             label: "cost-aware",
@@ -323,7 +323,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 20_000,
             faults: None,
-            digest: "measured=20000 warmup=10 cold=251 dur_ns=1029475888861 mean=0x4049d200749aaa9f p50=0x4046398cfae83ef9 p99=0x40714967edd55b11 spawned=252 cold_starts=252 warm_starts=19758 boot_retries=0 purged=0 slots_hw=520",
+            digest: "measured=20000 warmup=10 cold=269 dur_ns=1029475888861 mean=0x404a395ccd6e4a4e p50=0x4046422fab2fe2c4 p99=0x4071c5c73de1e2de spawned=270 cold_starts=270 warm_starts=19740 boot_retries=0 purged=0 slots_hw=520",
         },
         DispatchGolden {
             label: "instance-cap-overcommit",
@@ -331,7 +331,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 5_000,
             faults: None,
-            digest: "measured=5000 warmup=10 cold=0 dur_ns=282094596744 mean=0x404884041bac4e8f p50=0x4046aa4619a2b00c p99=0x40594cd336deb95e spawned=3 cold_starts=3 warm_starts=5007 boot_retries=0 purged=0 slots_hw=361",
+            digest: "measured=5000 warmup=10 cold=0 dur_ns=282094596744 mean=0x4048825568f8051c p50=0x4046a0da4d37ed97 p99=0x40597a4d141a6938 spawned=3 cold_starts=3 warm_starts=5007 boot_retries=0 purged=0 slots_hw=361",
         },
         DispatchGolden {
             label: "boot-failure-orphans",
@@ -339,7 +339,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 20_000,
             faults: None,
-            digest: "measured=20000 warmup=10 cold=59 dur_ns=1029475888861 mean=0x40427bc3e002ddc0 p50=0x403f15a98d478815 p99=0x404f344e8125bdb9 spawned=100 cold_starts=62 warm_starts=19948 boot_retries=38 purged=0 slots_hw=520",
+            digest: "measured=20000 warmup=10 cold=44 dur_ns=1029475888861 mean=0x4041d16c4930644f p50=0x403f116f296d3140 p99=0x404ee63b5bf6a0dc spawned=73 cold_starts=47 warm_starts=19963 boot_retries=26 purged=0 slots_hw=520",
         },
         DispatchGolden {
             label: "purge-storm",
@@ -347,7 +347,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 20_000,
             faults: Some("purge-storm"),
-            digest: "measured=20000 warmup=10 cold=1561 dur_ns=1029475888861 mean=0x40510a91599710aa p50=0x4046a5769b8028e6 p99=0x4075eac0ef7ea87c spawned=1571 cold_starts=1571 warm_starts=18439 boot_retries=0 purged=1571 slots_hw=520",
+            digest: "measured=20000 warmup=10 cold=1697 dur_ns=1029475888861 mean=0x405157ffd3a5b79b p50=0x4046b8bf0fe5c7f0 p99=0x4075f4d55c3513ae spawned=1707 cold_starts=1707 warm_starts=18303 boot_retries=0 purged=1707 slots_hw=520",
         },
         DispatchGolden {
             label: "crash-orphans",
@@ -355,7 +355,7 @@ fn committed_dispatch_matches_golden() {
             workload: "mmpp-burst",
             samples: 20_000,
             faults: Some("crash-2pct"),
-            digest: "measured=19611 warmup=10 cold=406 dur_ns=1029475888861 mean=0x405d8527e8ce5d86 p50=0x404002f8ec872b7c p99=0x409aee7f18700e59 spawned=412 cold_starts=412 warm_starts=19598 boot_retries=0 purged=0 slots_hw=520",
+            digest: "measured=19611 warmup=10 cold=400 dur_ns=1029475888861 mean=0x405c229c688ffbe8 p50=0x4040094478993f63 p99=0x4099286da04416b8 spawned=412 cold_starts=412 warm_starts=19598 boot_retries=0 purged=0 slots_hw=520",
         },
     ];
     let mut drifted = Vec::new();
@@ -515,23 +515,23 @@ fn chain_pin(runtime: &RuntimeConfig, app: Option<faas_sim::dag::DagSpec>) -> St
 fn chain_runs_match_golden() {
     use faas_sim::types::TransferMode::{Inline, Storage};
     let cases: [(&str, RuntimeConfig, Option<faas_sim::dag::DagSpec>, &str); 17] = [
-        ("inline-2", chain_runtime(2, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=af92d19f93364479"),
-        ("inline-4", chain_runtime(4, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=6b137a079265b5fb"),
-        ("storage-2", chain_runtime(2, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=95496922450508f5"),
-        ("storage-4", chain_runtime(4, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=7c85bc5de4a69fe9"),
-        ("inline-2+hedge", chain_runtime(2, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=7 dur_ns=27301614846 mean=0x405da49c4455b707 p50=0x405ad28e736049ec p99=0x4079d9d60c2379c9 xfer=0x40317db3e6b53781/0x40297b8d92fb19e7/0x4045ff9e325a9b2d internal=307 spawned=18 cold_starts=18 cancelled=2 trace=6baacfe90234fc9f"),
-        ("inline-4+hedge", chain_runtime(4, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=13 dur_ns=27459218182 mean=0x406ccc2f0c2ae9f2 p50=0x4068397d8be72970 p99=0x409061c95c8693ac xfer=0x4036380b1861f6a0/0x402a5f2096787cea/0x4075e9efeab1642b internal=915 spawned=49 cold_starts=49 cancelled=0 trace=82d4af0e541b3a65"),
-        ("storage-2+hedge", chain_runtime(2, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=8 dur_ns=29785838455 mean=0x406e6acb0da6f941 p50=0x406855a837f7be12 p99=0x40925730222efef1 xfer=0x4061f20c9d89b6d3/0x40580d38c111ada7/0x4090bc5b5eb33eb5 internal=309 spawned=20 cold_starts=20 cancelled=6 trace=9cdbc25c3d92dfbc"),
-        ("storage-4+hedge", chain_runtime(4, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=21 dur_ns=28031473446 mean=0x408266232360f4d3 p50=0x407d2d8f1b25f634 p99=0x409e05a1bd1d8246 xfer=0x4061b15ea325e591/0x4058a3f8ec0f8833/0x409176f3b0d1c48a internal=922 spawned=78 cold_starts=78 cancelled=10 trace=1e31d7e35da9fae8"),
-        ("inline-2~crash", chain_runtime(2, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b66f06ab318e0 p50=0x405abab647baa9b4 p99=0x406466e199074d7c xfer=0x402dc52c9a846cd5/0x4029d469e7fb267c/0x4044ff6490ce43f0 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=af92d19f93364479"),
-        ("inline-4~crash", chain_runtime(4, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4068820a093dec49 p50=0x40681ffb58d1526e p99=0x4071d2977b61a02b xfer=0x402d80e6e72a462c/0x40299687b139c950/0x4044ff6490ce43f0 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=6b137a079265b5fb"),
-        ("storage-2~crash", chain_runtime(2, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406e0095a3d7fd9d p50=0x4067f1155f78359c p99=0x4092b7b1ae737057 xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=95496922450508f5"),
-        ("storage-4~crash", chain_runtime(4, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812c4ba96708c3 p50=0x407cc622f944241c p99=0x409e2787d6f417fb xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=7c85bc5de4a69fe9"),
-        ("inline-2~purge", chain_runtime(2, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=79 dur_ns=925000000000 mean=0x406f9f457bd5637b p50=0x405ca2914d2f5dbc p99=0x408d0b71ef335412 xfer=0x4055831b88d9749a/0x4031303a29c779a7/0x407ad50c404a72e9 internal=305 spawned=165 cold_starts=165 cancelled=0 trace=87be605c1706ec5d"),
-        ("inline-4~purge", chain_runtime(4, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=71 dur_ns=925000000000 mean=0x407c7dad5019649b p50=0x40693b0de2ac3222 p99=0x409d5484b724efcb xfer=0x4054013f7bf438a6/0x402fc8e1a3f4666f/0x407c22b57c437270 internal=915 spawned=301 cold_starts=301 cancelled=0 trace=e4033384ff0f4e93"),
-        ("storage-2~purge", chain_runtime(2, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=78 dur_ns=925000000000 mean=0x4077d3cff116d90a p50=0x406a3faa23bff8a9 p99=0x4099582359a207d0 xfer=0x406b107a0b321b91/0x405c05237ac3eb7c/0x40955405f32b5b4a internal=305 spawned=164 cold_starts=164 cancelled=0 trace=38a301ddacf61e2d"),
-        ("storage-4~purge", chain_runtime(4, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=63 dur_ns=925000000000 mean=0x4088bbfb91e68033 p50=0x407edf3559b3d07c p99=0x40a722764f7d6bb7 xfer=0x4068554f6f99c0d6/0x405b2f36ef8055fc/0x4092fe4a2c53c5f9 internal=915 spawned=282 cold_starts=282 cancelled=0 trace=12336c812fa4c0b6"),
-        ("web-api", web_api_runtime(), Some(appsuite::web_api()), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x406c8bf863131fc3 p50=0x406b8efbafd976ff p99=0x40781327eac83560 xfer=0x402a0a5173d7afbf/0x4025df77c02afdda/0x40441da773b75cc6 internal=610 spawned=3 cold_starts=3 cancelled=0 trace=e78e5e628d0d8b4d auth=305/0x40501229f205d9ce/0x405cc8eb96869d28 logic=305/0x405447ed68089de9/0x406d20150210f437 render=305/0x404e7d884605a52a/0x4068ede3d9b995a1"),
+        ("inline-2", chain_runtime(2, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b5af2463ff1f9 p50=0x405a9935a426bb56 p99=0x40649b0894538996 xfer=0x402da538ff16bda7/0x4029c1d883ba3444/0x4044ceece4196f92 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=96b3824f0de16731"),
+        ("inline-4", chain_runtime(4, Inline, None, None), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x40687b66d9229b8d p50=0x40681a1fe542e558 p99=0x4071c85a661fef85 xfer=0x402d77915bd8b0be/0x402997343fa2ad3e/0x4044ceece4196f92 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=a1b11632a4369079"),
+        ("storage-2", chain_runtime(2, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406dfe2970dce1e5 p50=0x406802049cb252ce p99=0x4092b696092e7cde xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=2c0d8d8c7c81c8d9"),
+        ("storage-4", chain_runtime(4, Storage, None, None), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812bb09cae8545 p50=0x407cc5f2d77318fc p99=0x409e2b591ce944b9 xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=571ca1a8fce00bb3"),
+        ("inline-2+hedge", chain_runtime(2, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=6 dur_ns=27363665606 mean=0x405dc03ad7e27f8a p50=0x405aadccfaeff5c6 p99=0x407f9145e09cb858 xfer=0x40331ee5e982ef44/0x4029effc7607c41a/0x4048ac495e17e34c internal=306 spawned=18 cold_starts=18 cancelled=1 trace=8f4ecdd810e0c5c6"),
+        ("inline-4+hedge", chain_runtime(4, Inline, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=15 dur_ns=27497631542 mean=0x406ca3f2158a393c p50=0x406839350e34762a p99=0x4090589fdabb21fd xfer=0x403574a0687de430/0x402a4fce52deca25/0x4074bb9b09fc5825 internal=915 spawned=50 cold_starts=50 cancelled=0 trace=e7109094c0f1a3b8"),
+        ("storage-2+hedge", chain_runtime(2, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=9 dur_ns=27489115287 mean=0x406cd4eb433a3c6c p50=0x406804c968943e10 p99=0x40882c05006d3829 xfer=0x40613011ddde2da7/0x40584a58537e2c56/0x4090b83c350f814e internal=312 spawned=23 cold_starts=23 cancelled=13 trace=54bb4803746f768e"),
+        ("storage-4+hedge", chain_runtime(4, Storage, Some("hedge-p95"), None), None, "measured=300 warmup=5 cold=21 dur_ns=28018216409 mean=0x40820a202b534e3f p50=0x407d3bb83c6c97d8 p99=0x409dc3ddab21d73e xfer=0x406133192bb59071/0x40586a9b3d07c84b/0x409111385a114375 internal=922 spawned=62 cold_starts=62 cancelled=11 trace=c2075476772f12b2"),
+        ("inline-2~crash", chain_runtime(2, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x405b5af2463ff1f9 p50=0x405a9935a426bb56 p99=0x40649b0894538996 xfer=0x402da538ff16bda7/0x4029c1d883ba3444/0x4044ceece4196f92 internal=305 spawned=2 cold_starts=2 cancelled=0 trace=96b3824f0de16731"),
+        ("inline-4~crash", chain_runtime(4, Inline, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x40687b66d9229b8d p50=0x40681a1fe542e558 p99=0x4071c85a661fef85 xfer=0x402d77915bd8b0be/0x402997343fa2ad3e/0x4044ceece4196f92 internal=915 spawned=4 cold_starts=4 cancelled=0 trace=a1b11632a4369079"),
+        ("storage-2~crash", chain_runtime(2, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x406dfe2970dce1e5 p50=0x406802049cb252ce p99=0x4092b696092e7cde xfer=0x406202b15bf4ba15/0x40582a4b81733226/0x409152725bc1c7a8 internal=305 spawned=3 cold_starts=3 cancelled=0 trace=2c0d8d8c7c81c8d9"),
+        ("storage-4~crash", chain_runtime(4, Storage, None, Some("crash-2pct")), None, "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x40812bb09cae8545 p50=0x407cc5f2d77318fc p99=0x409e2b591ce944b9 xfer=0x4060865b1b4e4d35/0x40584bbd9a95421c/0x40919cba8c4dabaf internal=915 spawned=5 cold_starts=5 cancelled=0 trace=571ca1a8fce00bb3"),
+        ("inline-2~purge", chain_runtime(2, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=79 dur_ns=925000000000 mean=0x406f9946699bd002 p50=0x405ca55dd095af2a p99=0x408d1f4ede865da4 xfer=0x40557f1d156bbeac/0x4031262339c0ebee/0x407ad73a8c459e18 internal=305 spawned=165 cold_starts=165 cancelled=0 trace=e438191882b53bcd"),
+        ("inline-4~purge", chain_runtime(4, Inline, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=71 dur_ns=925000000000 mean=0x407c7a5bb80bbc3c p50=0x40694fb65668c262 p99=0x409d4be7ba3ba59a xfer=0x40540014ca8a05f8/0x402fa4c47a17f412/0x407c299689efad78 internal=915 spawned=301 cold_starts=301 cancelled=0 trace=e8f8cc13710326d9"),
+        ("storage-2~purge", chain_runtime(2, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=78 dur_ns=925000000000 mean=0x4077d299d7994b2e p50=0x406a348a90470a80 p99=0x4099536705ba7f14 xfer=0x406b107a0b321b91/0x405c05237ac3eb7c/0x40955405f32b5b4a internal=305 spawned=164 cold_starts=164 cancelled=0 trace=60f089667d4a0e79"),
+        ("storage-4~purge", chain_runtime(4, Storage, None, Some("purge-storm")), None, "measured=300 warmup=5 cold=63 dur_ns=925000000000 mean=0x4088bb60852d17a8 p50=0x407ee3cf954eb13e p99=0x40a7245bbaa501fe xfer=0x4068554f6f99c0d6/0x405b2f36ef8055fc/0x4092fe4a2c53c5f9 internal=915 spawned=282 cold_starts=282 cancelled=0 trace=889181e29cc46f1e"),
+        ("web-api", web_api_runtime(), Some(appsuite::web_api()), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x406c8bae9600070a p50=0x406b93473de1e2de p99=0x40781cc35f504793 xfer=0x402a0baa5ff3bedb/0x4025e3bd9cae2110/0x404417cb0105389b internal=610 spawned=3 cold_starts=3 cancelled=0 trace=d9377772dcdf2905 auth=305/0x40500831a96fa04e/0x405cd989bbcbc3a2 logic=305/0x40544903e6a8a0a5/0x406d215c97627268 render=305/0x404e842e01b5937b/0x4068f16fb3c75c0d"),
     ];
     let mut drifted = Vec::new();
     for (label, runtime, app, golden) in cases {
@@ -559,9 +559,9 @@ fn web_api_runtime() -> RuntimeConfig {
 #[test]
 fn fan_out_apps_match_golden() {
     let cases: [(&str, faas_sim::dag::DagSpec, &str); 3] = [
-        ("thumbnail", appsuite::thumbnail(), "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x408675c604f99d4a p50=0x4081a6bf19934efc p99=0x40a5af9e99402d66 xfer=0x406d053329fe8f6a/0x405ee49461b6d43d/0x409a125c5e780574 upload=305/0x40545a022e5b51e0/0x406729169ef8e68c resize-64=305/0x4062cae7f7a458a8/0x4093c3951a82532b resize-128=305/0x406248201dc4e94f/0x407f9f6aa2a47002 resize-256=305/0x406238c3a95c0af9/0x4081cae166acfdc7 resize-512=305/0x4061c60c84eeb421/0x407af54058a963f2 collect=305/0x405a6def15405aca/0x408da4c44446f30a join:collect=305/0/0x40909f68b47c73ef/0x40a26d9542c3c9ef"),
-        ("map-reduce", appsuite::map_reduce(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x40832ad24284c32c p50=0x4081d311c0010c70 p99=0x40958d38ee270f8d xfer=0x405e827751a4674b/0x403524564f97edc8/0x4088b7f25afe7e44 ingest=305/0x4056147687ea63ec/0x406a9cd559bea858 map-0=305/0x4063c40b14d34864/0x4086132e83b3a335 map-1=305/0x406607aff8f35e82/0x408845cc22811694 map-2=305/0x406458fb2808eed6/0x408bc5702d373622 map-3=305/0x406614fd25ef6d5a/0x408ac4c62019f628 map-4=305/0x4064a2ef9a82d44d/0x4086f68bea0a0910 map-5=305/0x406410a69233a5c5/0x408515ef173a328b reduce=305/0x40537f806495daf5/0x406d31b691e94f17 join:reduce=305/0/0x4087dedb6aa4b988/0x40936779c1b54196"),
-        ("scatter-gather", appsuite::scatter_gather(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4079e5e4e9d1c050 p50=0x40767e994ea07703 p99=0x409065d786f7d664 xfer=0x404127e6b858c23c/0x4034514c8ffb8b26/0x4063c7be104115cc scatter=305/0x40521d18a4b82b40/0x4063728e2f08f284 lookup-0=305/0x404f5f615916d0de/0x4086f13606537241 lookup-1=305/0x4050ffe367999e3a/0x40866031f914b92a lookup-2=305/0x4050dd2e0cd24d2e/0x4081f86dd17f2457 lookup-3=305/0x4051af4e3f44da34/0x407bf9185a8f8b5e lookup-4=305/0x40508fbb605e6a54/0x40818b89e43c2f34 lookup-5=305/0x405247867350de9f/0x40792a3415da7f7a lookup-6=305/0x404e8d577306ae54/0x407cacf992fc6af4 lookup-7=305/0x405017bf503eb265/0x407b26085ced135f lookup-8=305/0x4050aed71edef0c6/0x4080240642d4d90d lookup-9=305/0x40509fde366a99b0/0x407af1a3e74647ab lookup-10=305/0x404ee3fe762f0ffe/0x4083d5a7fc783187 lookup-11=305/0x4050513d228fa868/0x4076bd3dcb7076e2 lookup-12=305/0x404f5ed3f46ef83c/0x407ba2276c1c626e lookup-13=305/0x40514605b53b2056/0x4080aac0a1dcbdeb lookup-14=305/0x40515170ffe077e1/0x408497cc55556995 lookup-15=305/0x4050fff81907064a/0x407c399d208c8db3 gather=305/0x40447b211ac91e4c/0x4060f0323520d67b join:gather=305/1220/0x40805c2c7e28240b/0x406b90d058dde7a7"),
+        ("thumbnail", appsuite::thumbnail(), "measured=300 warmup=5 cold=1 dur_ns=925000000000 mean=0x4086752af83b48e8 p50=0x4081a158c5436b90 p99=0x40a5ad5add67cf97 xfer=0x406d053329fe8f6a/0x405ee49461b6d43d/0x409a125c5e780574 upload=305/0x4054498ce2208728/0x4067196c0c7b2920 resize-64=305/0x4062cae7f7a458a8/0x4093c3951a82532b resize-128=305/0x406248201dc4e94f/0x407f9f6aa2a47002 resize-256=305/0x406238c3a95c0af9/0x4081cae166acfdc7 resize-512=305/0x4061c60c84eeb421/0x407af54058a963f2 collect=305/0x405a6def15405aca/0x408da4c44446f30a join:collect=305/0/0x40909f68b47c73ef/0x40a26d9542c3c9ef"),
+        ("map-reduce", appsuite::map_reduce(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4083298dfc08c13a p50=0x4081cd0dc1e7967c p99=0x409591e25b44f526 xfer=0x405e81644e3dfb90/0x4035115b573eab36/0x4088b8f49bf10cc3 ingest=305/0x40560b55460645e8/0x406a9ceff8b280e8 map-0=305/0x40636d18958bdf52/0x408686ca17918bdd map-1=305/0x40640429c38a3548/0x408aeb0315f37dcd map-2=305/0x4065bf8f045f7d28/0x408bc95659e1722c map-3=305/0x4065cc8d5c82462c/0x4087759380c5fbeb map-4=305/0x4064b9d5f7e18050/0x4085dd6625c3ddf0 map-5=305/0x4064fdde323a6634/0x4085d8b68705bd66 reduce=305/0x405392b17ec3a7bf/0x406d2a7c00a9b655 join:reduce=305/0/0x4087d9f524399b2c/0x40935fc169c23b79"),
+        ("scatter-gather", appsuite::scatter_gather(), "measured=300 warmup=5 cold=0 dur_ns=925000000000 mean=0x4079e477b581e5d2 p50=0x407675e6d5065732 p99=0x4090663b4d3b1c34 xfer=0x404128a60f1ac3d7/0x403456be1650a45e/0x4063c58019db9e4f scatter=305/0x40520f0caee44fa0/0x40638558b5791624 lookup-0=305/0x404ffab7bda5d068/0x4086f1249078b92f lookup-1=305/0x405121898b23d5a5/0x4086603e897e199b lookup-2=305/0x4050dd43a640f90e/0x4081f85f1c9c6835 lookup-3=305/0x4051614d27302895/0x407bf9230f5009a1 lookup-4=305/0x4050e70356d15143/0x40818b91438c16d4 lookup-5=305/0x4052537edf6326a5/0x407bda18a971a33a lookup-6=305/0x404eb1d8ec27ec25/0x407cacf03385e9c2 lookup-7=305/0x404ff2f6b3db9e7c/0x407b26467ad1d4ff lookup-8=305/0x4050aef5750b111b/0x408023ea2bdd18f2 lookup-9=305/0x40509f75f3460d5c/0x407af1ce59a11015 lookup-10=305/0x404ed4df77db429e/0x4083d588668080b2 lookup-11=305/0x405023e8a779c03a/0x4076bd1c67a8183c lookup-12=305/0x404f775f4fbaaba4/0x407ba21e0b965bc8 lookup-13=305/0x4051453868183fee/0x4080aaaf149cdd5d lookup-14=305/0x40509b730b6f553f/0x408497b9227860f6 lookup-15=305/0x40513b1b136c3b76/0x407c39cb9f08c9ec gather=305/0x404475676fe337e9/0x4060ee2386381ab6 join:gather=305/1220/0x40805c1af102363b/0x406b91142d490e67"),
     ];
     let mut drifted = Vec::new();
     for (label, app, golden) in cases {
@@ -662,12 +662,12 @@ fn keepalive_expiry_matches_golden() {
     use providers::profiles::{azure_like, google_like};
     let slow_storm = faults::FaultSpec::PurgeStorm { mean_gap_ms: 900_000.0, start_ms: 0.0 };
     let cases = [
-        ("google~purge-storm@13", google_like(), 13, faults::FaultSpec::preset("purge-storm"), false, "completed=480 cold=460 spawns=460 reaps=460 storms=3187 purged=460 samples=0 end_ns=31106603079629 lat_sum_ns=410169564079 lat_max_ns=2354023590"),
-        ("azure+timeline@13", azure_like(), 13, None, true, "completed=480 cold=128 spawns=128 reaps=128 storms=0 purged=0 samples=4136 end_ns=31020000000000 lat_sum_ns=233811516783 lat_max_ns=4306249511"),
-        ("google~slow-storm@13", google_like(), 13, Some(slow_storm.clone()), false, "completed=480 cold=200 spawns=200 reaps=200 storms=34 purged=124 samples=0 end_ns=32493520623668 lat_sum_ns=181683053294 lat_max_ns=2162729078"),
-        ("google+timeline@1", google_like(), 1, None, true, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=3592 end_ns=26940000000000 lat_sum_ns=109605318914 lat_max_ns=1529999811"),
-        ("google@1", google_like(), 1, None, false, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=0 end_ns=26927179937483 lat_sum_ns=109605318914 lat_max_ns=1529999811"),
-        ("google~slow-storm@28", google_like(), 28, Some(slow_storm), false, "completed=480 cold=196 spawns=196 reaps=196 storms=34 purged=127 samples=0 end_ns=32224737147132 lat_sum_ns=180662656261 lat_max_ns=2310347108"),
+        ("google~purge-storm@13", google_like(), 13, faults::FaultSpec::preset("purge-storm"), false, "completed=480 cold=460 spawns=460 reaps=460 storms=3187 purged=460 samples=0 end_ns=31106603079629 lat_sum_ns=410162583161 lat_max_ns=2354296908"),
+        ("azure+timeline@13", azure_like(), 13, None, true, "completed=480 cold=128 spawns=128 reaps=128 storms=0 purged=0 samples=4136 end_ns=31020000000000 lat_sum_ns=233797554880 lat_max_ns=4307541342"),
+        ("google~slow-storm@13", google_like(), 13, Some(slow_storm.clone()), false, "completed=480 cold=200 spawns=200 reaps=200 storms=34 purged=124 samples=0 end_ns=32493520623668 lat_sum_ns=181676072375 lat_max_ns=2163244823"),
+        ("google+timeline@1", google_like(), 1, None, true, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=3592 end_ns=26940000000000 lat_sum_ns=109591719607 lat_max_ns=1530238334"),
+        ("google@1", google_like(), 1, None, false, "completed=480 cold=109 spawns=109 reaps=109 storms=0 purged=0 samples=0 end_ns=26927180089529 lat_sum_ns=109591719607 lat_max_ns=1530238334"),
+        ("google~slow-storm@28", google_like(), 28, Some(slow_storm), false, "completed=480 cold=196 spawns=196 reaps=196 storms=34 purged=127 samples=0 end_ns=32224737147132 lat_sum_ns=180650060003 lat_max_ns=2311163135"),
     ];
     let mut drifted = Vec::new();
     for (label, provider, seed, storm, timeline, golden) in cases {
