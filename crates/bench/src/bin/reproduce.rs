@@ -24,23 +24,26 @@ fn main() {
     );
     println!();
     let start = Instant::now();
-    for report in bench::run_all(samples) {
+    let (reports, figures) = bench::run_all(samples);
+    for report in reports {
         println!("{}", report.render());
     }
     println!("{}", bench::experiments::ablation::report(bench::report::BASE_SEED).render());
     println!("{}", bench::experiments::keepalive::report(bench::report::BASE_SEED).render());
 
     if let Some(dir) = arg_after("--figures") {
-        write_figures(&dir, samples);
+        write_figures(&dir, &figures);
         eprintln!("figures written to {dir}/");
     }
     eprintln!("total wall-clock: {:.1?}", start.elapsed());
 }
 
-/// Renders Fig 3 (warm/cold CDFs) and Fig 9 (policy CDFs) as SVG files.
-fn write_figures(dir: &str, samples: u32) {
+/// Renders Fig 3 (warm/cold CDFs), Figs 6a/7a (transfer latency vs
+/// payload) and Fig 9 (policy CDFs) as SVG files from the measurements
+/// the reports came from.
+fn write_figures(dir: &str, figures: &bench::FigureData) {
     std::fs::create_dir_all(dir).expect("create figure directory");
-    let fig3 = bench::experiments::fig3::measure(samples);
+    let fig3 = &figures.fig3;
     let warm: Vec<SvgSeries> =
         fig3.warm.iter().map(|(kind, s)| SvgSeries::new(kind.label(), s.clone())).collect();
     std::fs::write(
@@ -58,22 +61,14 @@ fn write_figures(dir: &str, samples: u32) {
 
     // Figs 6a/7a: median (solid) and tail (dashed) vs payload, log-log.
     for (name, title, cells) in [
-        (
-            "fig6a_inline",
-            "Fig 6a: inline transfer latency vs payload",
-            bench::experiments::fig6::measure(samples).cells,
-        ),
-        (
-            "fig7a_storage",
-            "Fig 7a: storage transfer latency vs payload",
-            bench::experiments::fig7::measure(samples).cells,
-        ),
+        ("fig6a_inline", "Fig 6a: inline transfer latency vs payload", &figures.fig6.cells),
+        ("fig7a_storage", "Fig 7a: storage transfer latency vs payload", &figures.fig7.cells),
     ] {
         let mut lines = Vec::new();
         for kind in [providers::paper::ProviderKind::Aws, providers::paper::ProviderKind::Google] {
             let mut medians = Vec::new();
             let mut tails = Vec::new();
-            for (k, bytes, samples) in &cells {
+            for (k, bytes, samples) in cells {
                 if *k == kind {
                     let s = stats::Summary::from_samples(samples);
                     medians.push((*bytes as f64 / 1000.0, s.median));
@@ -92,8 +87,8 @@ fn write_figures(dir: &str, samples: u32) {
         .expect("write transfer figure");
     }
 
-    let fig9 = bench::experiments::fig9::measure(samples);
-    let series: Vec<SvgSeries> = fig9
+    let series: Vec<SvgSeries> = figures
+        .fig9
         .cells
         .iter()
         .filter(|(_, burst, _)| *burst == 100)

@@ -29,22 +29,43 @@ use report::Report;
 use stellar_core::config::{IatSpec, RuntimeConfig};
 use stellar_core::runner::{Scenario, SweepGrid};
 
+/// The measurements behind the SVG figures `reproduce --figures` renders,
+/// kept from the run that reported them so each is measured once.
+pub struct FigureData {
+    /// Fig 3 warm and cold latency samples.
+    pub fig3: experiments::fig3::Fig3,
+    /// Fig 6 inline-transfer cells.
+    pub fig6: experiments::fig6::Fig6,
+    /// Fig 7 storage-transfer cells.
+    pub fig7: experiments::fig7::Fig7,
+    /// Fig 9 scheduling-policy cells.
+    pub fig9: experiments::fig9::Fig9,
+}
+
 /// Runs every experiment at the given sample count and returns the
-/// reports in paper order. `samples = 3000` matches the paper; smaller
-/// values trade fidelity for speed.
-pub fn run_all(samples: u32) -> Vec<Report> {
-    vec![
-        experiments::fig3::measure(samples).report(),
+/// reports in paper order, with the measurements the figures render
+/// from. `samples = 3000` matches the paper; smaller values trade
+/// fidelity for speed.
+pub fn run_all(samples: u32) -> (Vec<Report>, FigureData) {
+    let figures = FigureData {
+        fig3: experiments::fig3::measure(samples),
+        fig6: experiments::fig6::measure(samples),
+        fig7: experiments::fig7::measure(samples),
+        fig9: experiments::fig9::measure(samples),
+    };
+    let reports = vec![
+        figures.fig3.report(),
         experiments::fig4::measure(samples).report(),
         experiments::fig5::measure(samples).report(),
-        experiments::fig6::measure(samples).report(),
-        experiments::fig7::measure(samples).report(),
+        figures.fig6.report(),
+        figures.fig7.report(),
         experiments::fig8::measure(samples).report(),
-        experiments::fig9::measure(samples).report(),
+        figures.fig9.report(),
         experiments::table1::measure(samples).report(),
         experiments::fig10::measure(experiments::fig10::TRACE_FUNCTIONS).report(),
         experiments::mmpp::measure(samples).report(),
-    ]
+    ];
+    (reports, figures)
 }
 
 /// The canonical sweep grid used by the `sim/sweep_grid` Criterion group
@@ -66,7 +87,7 @@ mod tests {
     /// count and yields all ten report sections in paper order.
     #[test]
     fn run_all_produces_every_artifact() {
-        let reports = super::run_all(60);
+        let (reports, _) = super::run_all(60);
         let ids: Vec<&str> = reports.iter().map(|r| r.id).collect();
         assert_eq!(
             ids,

@@ -9,13 +9,13 @@ use stats::sketch::QuantileMode;
 use stats::svg::{SvgPlot, SvgSeries};
 use stellar_core::breakdown::BreakdownAnalysis;
 use stellar_core::client::MeasureSpec;
-use stellar_core::config::{RuntimeConfig, StaticConfig};
+use stellar_core::config::{IatSpec, RuntimeConfig, StaticConfig};
 use stellar_core::experiment::Experiment;
 use stellar_core::runner::{Scenario, SweepGrid, SweepRunner};
 use stellar_core::traceio;
 use stellar_core::visualize::{export_cdf_csv, render_cdf, Series};
 
-use crate::args::{Command, RunOptions, SweepOptions, TraceFormat, TraceOptions, USAGE};
+use crate::args::{Command, RunOptions, ScenarioOptions, SweepOptions, USAGE};
 
 /// CLI failures (all user-facing).
 #[derive(Debug)]
@@ -161,7 +161,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::SampleConfig => Ok(sample_config()),
         Command::Run(opts) => run(opts),
         Command::Sweep(opts) => sweep(opts),
-        Command::Trace(opts) => trace(opts),
     }
 }
 
@@ -175,54 +174,82 @@ fn policy_label(cfg: &ProviderConfig) -> &'static str {
     }
 }
 
-fn run(opts: &RunOptions) -> Result<String, CliError> {
+/// Resolves the scenario flags into the grid they describe, crossed with
+/// `seeds`: one scenario per provider, then each requested axis crosses
+/// the scenarios the previous ones produced, apps innermost, so labels
+/// read "{provider}@{app}/{workload}+{policy}~{fault}". `run` passes one
+/// value per axis and one seed, so its grid is a single cell. `warmup`
+/// applies to the default runtime config only.
+fn resolve_grid(
+    opts: &ScenarioOptions,
+    warmup: u32,
+    seeds: Vec<u64>,
+) -> Result<SweepGrid, CliError> {
     let static_cfg = match &opts.static_path {
-        Some(path) => StaticConfig::from_json(&read(path)?).map_err(CliError::Config)?,
-        None => {
-            StaticConfig { functions: vec![stellar_core::config::StaticFunction::python_zip("fn")] }
-        }
-    };
-    let mut runtime_cfg = match &opts.runtime_path {
-        Some(path) => RuntimeConfig::from_json(&read(path)?).map_err(CliError::Config)?,
-        None => {
-            let mut cfg =
-                RuntimeConfig::single(stellar_core::config::IatSpec::short(), opts.samples);
-            cfg.warmup_rounds = opts.warmup;
-            cfg
-        }
-    };
-    if let Some(name) = &opts.workload {
-        runtime_cfg.workload = Some(resolve_workload(name)?);
-    }
-    if let Some(name) = &opts.policy {
-        runtime_cfg.policy = resolve_policy(name)?;
-    }
-    if let Some(name) = &opts.faults {
-        runtime_cfg.faults = resolve_faults(name)?;
-    }
-    let app_spec = match &opts.app {
-        Some(name) => resolve_app(name)?,
+        Some(path) => Some(StaticConfig::from_json(&read(path)?).map_err(CliError::Config)?),
         None => None,
     };
-    let provider = resolve_provider(&opts.provider)?;
-    let provider_name = provider.name.clone();
+    let runtime_cfg = match &opts.runtime_path {
+        Some(path) => RuntimeConfig::from_json(&read(path)?).map_err(CliError::Config)?,
+        None => RuntimeConfig {
+            warmup_rounds: warmup,
+            ..RuntimeConfig::single(IatSpec::short(), opts.samples)
+        },
+    };
+    let mut scenarios = opts
+        .providers
+        .iter()
+        .map(|name| {
+            let provider = resolve_provider(name)?;
+            let mut scenario =
+                Scenario::new(provider.name.clone(), provider).workload(runtime_cfg.clone());
+            if let Some(cfg) = &static_cfg {
+                scenario = scenario.functions(cfg.clone());
+            }
+            Ok(scenario)
+        })
+        .collect::<Result<Vec<_>, CliError>>()?;
+    let apps = sweep_axis(&opts.apps, appsuite::preset, resolve_app)?;
+    let workloads = sweep_axis(&opts.workloads, workload::WorkloadSpec::preset, resolve_workload)?;
+    let policies = sweep_axis(&opts.policies, policy::PolicySpec::preset, resolve_policy)?;
+    let faults = sweep_axis(&opts.faults, faults::FaultSpec::preset, resolve_faults)?;
+    if !apps.is_empty() {
+        scenarios = SweepGrid::cross_apps(scenarios, &apps, seeds.clone()).scenarios;
+    }
+    if !workloads.is_empty() {
+        scenarios = SweepGrid::cross_workloads(scenarios, &workloads, seeds.clone()).scenarios;
+    }
+    if !policies.is_empty() {
+        scenarios = SweepGrid::cross_policies(scenarios, &policies, seeds.clone()).scenarios;
+    }
+    if !faults.is_empty() {
+        scenarios = SweepGrid::cross_faults(scenarios, &faults, seeds.clone()).scenarios;
+    }
+    Ok(SweepGrid::new(scenarios, seeds))
+}
 
+/// How `mode` measures a run; sketch mode retains raw samples only when
+/// `keep_samples`.
+fn measure(mode: QuantileMode, keep_samples: bool) -> MeasureSpec {
+    match mode {
+        QuantileMode::Exact => MeasureSpec::exact(),
+        QuantileMode::Sketch => MeasureSpec::sketch().with_keep_samples(keep_samples),
+    }
+}
+
+fn run(opts: &RunOptions) -> Result<String, CliError> {
+    let grid = resolve_grid(&opts.scenario, opts.warmup, vec![opts.seed])?;
+    let scenario = grid.scenarios.into_iter().next().expect("run flags resolve to one cell");
+    let provider_name = scenario.provider.name.clone();
     // The CDF, CSV and SVG figures all render from the streamed
     // aggregate; only the per-component breakdown still needs the raw
     // completion vectors, so sketch mode retains them just for it.
-    let needs_samples = opts.breakdown;
-    let measure = match opts.quantile_mode {
-        QuantileMode::Exact => MeasureSpec::exact(),
-        QuantileMode::Sketch => MeasureSpec::sketch().with_keep_samples(needs_samples),
-    };
-    let mut experiment = Experiment::new(provider)
-        .functions(static_cfg)
-        .workload(runtime_cfg)
+    let mut experiment = Experiment::from(scenario)
         .seed(opts.seed)
-        .measure(measure)
-        .profile_events(opts.profile_events);
-    if let Some(spec) = app_spec {
-        experiment = experiment.app(spec);
+        .measure(measure(opts.scenario.quantile_mode, opts.breakdown))
+        .profile_events(opts.scenario.profile_events);
+    if opts.trace.is_some() {
+        experiment = experiment.trace(opts.trace_capacity);
     }
     let outcome = experiment.run().map_err(CliError::Experiment)?;
 
@@ -322,7 +349,7 @@ fn run(opts: &RunOptions) -> Result<String, CliError> {
             ));
         }
     }
-    if opts.profile_events {
+    if opts.scenario.profile_events {
         out.push_str(&render_event_profile(&outcome.metrics));
     }
     if opts.cdf {
@@ -348,81 +375,50 @@ fn run(opts: &RunOptions) -> Result<String, CliError> {
         std::fs::write(path, svg).map_err(|e| CliError::Io(path.clone(), e))?;
         out.push_str(&format!("wrote SVG CDF to {path}\n"));
     }
+    if let Some(path) = &opts.trace {
+        let (label, export) = if path.ends_with(".csv") {
+            ("csv", traceio::to_csv(&outcome.spans))
+        } else {
+            ("jsonl", traceio::to_jsonl(&outcome.spans))
+        };
+        std::fs::write(path, &export).map_err(|e| CliError::Io(path.clone(), e))?;
+        out.push_str(&format!(
+            "wrote {} spans to {path} ({label}, digest {:016x})\n",
+            outcome.spans.len(),
+            traceio::digest64(&export),
+        ));
+    }
     Ok(out)
 }
 
 fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
-    let static_cfg = match &opts.static_path {
-        Some(path) => Some(StaticConfig::from_json(&read(path)?).map_err(CliError::Config)?),
-        None => None,
-    };
-    let runtime_cfg = match &opts.runtime_path {
-        Some(path) => RuntimeConfig::from_json(&read(path)?).map_err(CliError::Config)?,
-        None => RuntimeConfig::single(stellar_core::config::IatSpec::short(), opts.samples),
-    };
-    let mut scenarios = opts
-        .providers
-        .iter()
-        .map(|name| {
-            let provider = resolve_provider(name)?;
-            let mut scenario =
-                Scenario::new(provider.name.clone(), provider).workload(runtime_cfg.clone());
-            if let Some(cfg) = &static_cfg {
-                scenario = scenario.functions(cfg.clone());
-            }
-            Ok(scenario)
-        })
-        .collect::<Result<Vec<_>, CliError>>()?;
     let seeds: Vec<u64> = (opts.base_seed..opts.base_seed + opts.seeds).collect();
-    // Each requested axis crosses the scenarios the previous ones
-    // produced, apps innermost, so labels read
-    // "{provider}@{app}/{workload}+{policy}~{fault}".
-    let apps = sweep_axis(&opts.apps, appsuite::preset, resolve_app)?;
-    let workloads = sweep_axis(&opts.workloads, workload::WorkloadSpec::preset, resolve_workload)?;
-    let policies = sweep_axis(&opts.policies, policy::PolicySpec::preset, resolve_policy)?;
-    let faults = sweep_axis(&opts.faults, faults::FaultSpec::preset, resolve_faults)?;
-    if !apps.is_empty() {
-        scenarios = SweepGrid::cross_apps(scenarios, &apps, seeds.clone()).scenarios;
-    }
-    if !workloads.is_empty() {
-        scenarios = SweepGrid::cross_workloads(scenarios, &workloads, seeds.clone()).scenarios;
-    }
-    if !policies.is_empty() {
-        scenarios = SweepGrid::cross_policies(scenarios, &policies, seeds.clone()).scenarios;
-    }
-    if !faults.is_empty() {
-        scenarios = SweepGrid::cross_faults(scenarios, &faults, seeds.clone()).scenarios;
-    }
-    let grid = SweepGrid::new(scenarios, seeds);
-    let cells = grid.len();
-    let measure = match opts.quantile_mode {
-        QuantileMode::Exact => MeasureSpec::exact(),
-        QuantileMode::Sketch => MeasureSpec::sketch(),
-    };
+    let grid = resolve_grid(&opts.scenario, 0, seeds)?;
+    let scenario = &opts.scenario;
     let report = SweepRunner::new(opts.threads)
-        .measure(measure)
-        .profile_events(opts.profile_events)
+        .measure(measure(scenario.quantile_mode, false))
+        .profile_events(scenario.profile_events)
         .run(&grid);
 
     // The summary deliberately omits the worker count: the report must be
     // byte-identical however the sweep was parallelised.
-    let mut axes = format!("{} providers", opts.providers.len());
-    if !opts.apps.is_empty() {
-        axes.push_str(&format!(" x {} apps", opts.apps.len()));
+    let mut axes = format!("{} providers", scenario.providers.len());
+    if !scenario.apps.is_empty() {
+        axes.push_str(&format!(" x {} apps", scenario.apps.len()));
     }
-    if !opts.workloads.is_empty() {
-        axes.push_str(&format!(" x {} workloads", opts.workloads.len()));
+    if !scenario.workloads.is_empty() {
+        axes.push_str(&format!(" x {} workloads", scenario.workloads.len()));
     }
-    if !opts.policies.is_empty() {
-        axes.push_str(&format!(" x {} policies", opts.policies.len()));
+    if !scenario.policies.is_empty() {
+        axes.push_str(&format!(" x {} policies", scenario.policies.len()));
     }
-    if !opts.faults.is_empty() {
-        axes.push_str(&format!(" x {} fault models", opts.faults.len()));
+    if !scenario.faults.is_empty() {
+        axes.push_str(&format!(" x {} fault models", scenario.faults.len()));
     }
     axes.push_str(&format!(" x {} seeds", opts.seeds));
     let mut out = format!(
         "sweep: {axes} = {} cells ({} ok, {} failed)\n",
-        cells,
+        grid.len(),
         report.ok_count(),
         report.failed_count(),
     );
@@ -432,16 +428,16 @@ fn sweep(opts: &SweepOptions) -> Result<String, CliError> {
         report.metrics.counter(faas_sim::cloud::metric::REQUESTS_COMPLETED),
         report.metrics.counter(faas_sim::cloud::metric::COLD_STARTS),
     ));
-    if opts.profile_events {
+    if scenario.profile_events {
         out.push_str(&render_event_profile(&report.metrics));
     }
     // App sweeps get the app CSV (extended columns plus join_amp); policy
     // and fault sweeps get the extended CSV (policy outcome,
     // retry-amplification and goodput columns); plain sweeps keep today's
     // byte-identical base CSV.
-    let csv = if !opts.apps.is_empty() {
+    let csv = if !scenario.apps.is_empty() {
         report.to_csv_app()
-    } else if opts.policies.is_empty() && opts.faults.is_empty() {
+    } else if scenario.policies.is_empty() && scenario.faults.is_empty() {
         report.to_csv()
     } else {
         report.to_csv_extended()
@@ -516,38 +512,6 @@ fn render_event_profile(metrics: &simkit::metrics::Metrics) -> String {
     out
 }
 
-fn trace(opts: &TraceOptions) -> Result<String, CliError> {
-    let provider = resolve_provider(&opts.provider)?;
-    let provider_name = provider.name.clone();
-    let mut experiment = Experiment::new(provider).seed(opts.seed).trace(opts.capacity);
-    if let Some(path) = &opts.static_path {
-        experiment =
-            experiment.functions(StaticConfig::from_json(&read(path)?).map_err(CliError::Config)?);
-    }
-    if let Some(path) = &opts.runtime_path {
-        experiment =
-            experiment.workload(RuntimeConfig::from_json(&read(path)?).map_err(CliError::Config)?);
-    }
-    let outcome = experiment.run().map_err(CliError::Experiment)?;
-    let (label, export) = match opts.format {
-        TraceFormat::Jsonl => ("jsonl", traceio::to_jsonl(&outcome.spans)),
-        TraceFormat::Csv => ("csv", traceio::to_csv(&outcome.spans)),
-    };
-    match &opts.out {
-        Some(path) => {
-            std::fs::write(path, &export).map_err(|e| CliError::Io(path.clone(), e))?;
-            Ok(format!(
-                "provider {provider_name}, seed {}: wrote {} spans to {path} \
-                 ({label}, digest {:016x})\n",
-                opts.seed,
-                outcome.spans.len(),
-                traceio::digest64(&export),
-            ))
-        }
-        None => Ok(export),
-    }
-}
-
 fn sample_config() -> String {
     let static_json = r#"{
   "functions": [
@@ -579,6 +543,26 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
+    /// Parses and executes one command line.
+    fn cli(args: &[&str]) -> Result<String, CliError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        execute(&crate::args::parse_args(&args).expect("a valid command line"))
+    }
+
+    /// A one-function Go static config and a 40-sample fixed-IAT runtime
+    /// config, written under `tag`.
+    fn go_configs(tag: &str) -> (String, String) {
+        let static_path = write_temp(
+            &format!("{tag}-static.json"),
+            r#"{"functions": [{"name": "f", "runtime": "go", "deployment": "zip", "memory_mb": 2048}]}"#,
+        );
+        let runtime_path = write_temp(
+            &format!("{tag}-runtime.json"),
+            r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 40, "warmup_rounds": 1}"#,
+        );
+        (static_path, runtime_path)
+    }
+
     #[test]
     fn help_and_providers_and_dump() {
         assert!(execute(&Command::Help).unwrap().contains("USAGE"));
@@ -605,35 +589,27 @@ mod tests {
 
     #[test]
     fn run_end_to_end_with_exports() {
-        let static_path = write_temp(
-            "static.json",
-            r#"{"functions": [{"name": "f", "runtime": "go", "deployment": "zip", "memory_mb": 2048}]}"#,
-        );
-        let runtime_path = write_temp(
-            "runtime.json",
-            r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 40, "warmup_rounds": 1}"#,
-        );
+        let (static_path, runtime_path) = go_configs("exports");
         let csv_path = write_temp("out.csv", "");
         let svg_path = write_temp("out.svg", "");
-        let opts = RunOptions {
-            static_path: Some(static_path),
-            runtime_path: Some(runtime_path),
-            workload: None,
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 100,
-            warmup: 0,
-            provider: "google-like".into(),
-            seed: 3,
-            breakdown: true,
-            cdf: true,
-            csv: Some(csv_path.clone()),
-            svg: Some(svg_path.clone()),
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let out = execute(&Command::Run(opts)).unwrap();
+        let out = cli(&[
+            "run",
+            "--static",
+            &static_path,
+            "--runtime",
+            &runtime_path,
+            "--provider",
+            "google-like",
+            "--seed",
+            "3",
+            "--breakdown",
+            "--cdf",
+            "--csv",
+            &csv_path,
+            "--svg",
+            &svg_path,
+        ])
+        .unwrap();
         assert!(out.contains("provider google-like"));
         assert!(out.contains("per-component attribution"));
         assert!(out.contains("median"));
@@ -645,67 +621,30 @@ mod tests {
 
     #[test]
     fn run_sketch_mode_streams_without_samples() {
-        let static_path = write_temp(
-            "sketch-static.json",
-            r#"{"functions": [{"name": "f", "runtime": "go", "deployment": "zip", "memory_mb": 2048}]}"#,
-        );
-        let runtime_path = write_temp(
-            "sketch-runtime.json",
-            r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 40, "warmup_rounds": 1}"#,
-        );
-        let opts = RunOptions {
-            static_path: Some(static_path),
-            runtime_path: Some(runtime_path),
-            workload: None,
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 100,
-            warmup: 0,
-            provider: "aws-like".into(),
-            seed: 3,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Sketch,
-            profile_events: false,
+        let (static_path, runtime_path) = go_configs("sketch");
+        let base = ["run", "--static", &static_path, "--runtime", &runtime_path, "--seed", "3"];
+        let sketch = |extra: &[&str]| {
+            cli(&[&base[..], &["--quantile-mode", "sketch"], extra].concat()).unwrap()
         };
-        let out = execute(&Command::Run(opts.clone())).unwrap();
+        let out = sketch(&[]);
         assert!(out.contains("provider aws-like"), "{out}");
         assert!(out.contains("median"), "{out}");
         assert!(out.contains("cold-start fraction"), "{out}");
 
         // The CDF renders straight from the streamed aggregate — no
         // sample retention needed even in sketch mode.
-        let with_cdf = execute(&Command::Run(RunOptions { cdf: true, ..opts })).unwrap();
+        let with_cdf = sketch(&["--cdf"]);
         assert!(with_cdf.contains("end-to-end latency"), "{with_cdf}");
     }
 
     #[test]
     fn run_profile_events_prints_cost_table_without_changing_results() {
-        let base = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some("poisson".into()),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 40,
-            warmup: 2,
-            provider: "aws-like".into(),
-            seed: 9,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let plain = execute(&Command::Run(base.clone())).unwrap();
+        let base =
+            ["run", "--workload", "poisson", "--samples", "40", "--warmup", "2", "--seed", "9"];
+        let plain = cli(&base).unwrap();
         assert!(!plain.contains("per-event cost"), "{plain}");
 
-        let profiled = execute(&Command::Run(RunOptions { profile_events: true, ..base })).unwrap();
+        let profiled = cli(&[&base[..], &["--profile-events"]].concat()).unwrap();
         assert!(profiled.contains("per-event cost"), "{profiled}");
         assert!(profiled.contains("profile coverage:"), "{profiled}");
         assert!(profiled.contains("frontend_arrive"), "{profiled}");
@@ -713,22 +652,18 @@ mod tests {
         assert!(profiled.starts_with(&plain), "profiling must only append:\n{profiled}");
 
         // The sweep path aggregates the same counters across cells.
-        let sweep = execute(&Command::Sweep(SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into()],
-            seeds: 2,
-            base_seed: 0,
-            samples: 20,
-            workloads: vec![],
-            policies: vec![],
-            faults: vec![],
-            apps: vec![],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: true,
-        }))
+        let sweep = cli(&[
+            "sweep",
+            "--providers",
+            "aws-like",
+            "--seeds",
+            "2",
+            "--samples",
+            "20",
+            "--threads",
+            "1",
+            "--profile-events",
+        ])
         .unwrap();
         assert!(sweep.contains("per-event cost"), "{sweep}");
         assert!(sweep.contains("profile coverage:"), "{sweep}");
@@ -736,56 +671,92 @@ mod tests {
 
     #[test]
     fn trace_exports_jsonl_and_csv() {
-        let base = TraceOptions {
-            static_path: None,
-            runtime_path: Some(write_temp(
-                "trace-runtime.json",
-                r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 10, "warmup_rounds": 1}"#,
-            )),
-            provider: "aws-like".into(),
-            seed: 7,
-            format: TraceFormat::Jsonl,
-            out: None,
-            capacity: 4096,
-        };
-        let jsonl = execute(&Command::Trace(base.clone())).unwrap();
+        let runtime_path = write_temp(
+            "trace-runtime.json",
+            r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 10, "warmup_rounds": 1}"#,
+        );
+        let base = ["run", "--runtime", &runtime_path, "--seed", "7", "--trace-capacity", "4096"];
+        let jsonl_path = write_temp("trace-out.jsonl", "");
+        let msg = cli(&[&base[..], &["--trace", &jsonl_path]].concat()).unwrap();
+        assert!(msg.starts_with("provider aws-like, seed 7: n=10"), "summary first: {msg}");
+        assert!(msg.contains(&format!("spans to {jsonl_path} (jsonl, digest ")), "{msg}");
+        let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
         assert!(jsonl.lines().count() > 10, "one span per line");
         assert!(jsonl.lines().all(|l| l.starts_with("{\"span_id\":")));
         assert!(jsonl.contains("\"component\":\"request\""));
         assert!(jsonl.contains("\"component\":\"execution\""));
 
-        let out_path = write_temp("trace-out.csv", "");
-        let opts = TraceOptions { format: TraceFormat::Csv, out: Some(out_path.clone()), ..base };
-        let msg = execute(&Command::Trace(opts)).unwrap();
-        assert!(msg.contains("wrote"), "{msg}");
-        assert!(msg.contains("digest"));
-        let csv = std::fs::read_to_string(out_path).unwrap();
+        // The format follows the file name.
+        let csv_path = write_temp("trace-out.csv", "");
+        let msg = cli(&[&base[..], &["--trace", &csv_path]].concat()).unwrap();
+        assert!(msg.contains("(csv, digest "), "{msg}");
+        let csv = std::fs::read_to_string(csv_path).unwrap();
         assert!(csv.starts_with("span_id,parent,request,component,start_ns,end_ns"));
+
+        // Tracing observes: the summary lines match an untraced run.
+        let plain = cli(&base).unwrap();
+        assert!(msg.starts_with(&plain), "tracing must only append:\n{msg}");
+    }
+
+    /// The default `run` cell (one Python ZIP function, 100 requests at the
+    /// 3 s IAT, aws-like) at seed 42 exports pinned spans in both formats.
+    #[test]
+    fn run_trace_digests_are_pinned() {
+        for (ext, digest) in [("csv", "17fe525c870311c7"), ("jsonl", "77601a0b0a6e89f1")] {
+            let path = write_temp(&format!("trace-pinned.{ext}"), "");
+            let msg = cli(&["run", "--seed", "42", "--trace", &path]).unwrap();
+            let want = format!("wrote 1100 spans to {path} ({ext}, digest {digest})\n");
+            assert!(msg.ends_with(&want), "{msg}");
+        }
+        let path = write_temp("trace-ring.csv", "");
+        let msg = cli(&["run", "--seed", "42", "--trace", &path, "--trace-capacity", "10"]);
+        assert!(msg.unwrap().contains("wrote 10 spans"), "the ring keeps the newest spans");
+    }
+
+    /// `run` is the one-cell sweep: both resolve the same cell and report
+    /// the same median and p99 (at the CSV's three decimals).
+    #[test]
+    fn run_matches_the_one_cell_sweep() {
+        let static_path = write_temp(
+            "one-cell-static.json",
+            r#"{"functions": [{"name": "fn", "runtime": "python3", "deployment": "zip", "memory_mb": 2048}]}"#,
+        );
+        let runtime_path = write_temp(
+            "one-cell-runtime.json",
+            r#"{"iat": {"kind": "fixed", "ms": 3000.0}, "samples": 500}"#,
+        );
+        let cell = ["--seeds", "1", "--base-seed", "3", "--samples", "500"];
+        for axes in [&[][..], &["--workload", "poisson", "--policy", "hedge-p95"]] {
+            let run = ["run", "--static", &static_path, "--runtime", &runtime_path, "--seed", "3"];
+            let run = cli(&[&run[..], axes].concat()).unwrap();
+            let sweep = cli(&[&["sweep", "--providers", "aws-like"][..], &cell, axes].concat());
+            let sweep = sweep.unwrap();
+            let row: Vec<&str> = sweep.lines().last().unwrap().split(',').collect();
+            let (median, p99): (f64, f64) = (row[5].parse().unwrap(), row[7].parse().unwrap());
+            let expect = format!("median={median:.2} p99={p99:.2} ");
+            assert!(run.contains(&expect), "run:\n{run}\nsweep:\n{sweep}");
+        }
+    }
+
+    #[test]
+    fn run_app_accepts_an_inline_dag_json() {
+        // The object holds commas, so `run` must not split the value.
+        let inline = r#"{"name": "inline2", "nodes": [{"name": "a"}, {"name": "b"}],
+            "edges": [{"from": "a", "to": "b", "mode": "inline"}]}"#;
+        let out = cli(&["run", "--app", inline, "--samples", "30", "--seed", "2"]).unwrap();
+        assert!(out.contains("application inline2: 2 stages"), "{out}");
+        assert!(out.contains("provider aws-like, seed 2: n=30 "), "{out}");
+        let bad = cli(&["run", "--app", r#"{"name": "x", "nodes": []}"#]).unwrap_err();
+        assert!(matches!(bad, CliError::Config(_)), "{bad}");
     }
 
     #[test]
     fn sweep_output_is_byte_identical_across_thread_counts() {
         // 3 providers x 4 seeds = 12 cells; the merged report (summary +
         // CSV) must not depend on how many workers executed the grid.
-        let base = SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into(), "google-like".into(), "azure-like".into()],
-            seeds: 4,
-            base_seed: 0,
-            samples: 40,
-            workloads: vec![],
-            policies: vec![],
-            faults: vec![],
-            apps: vec![],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let serial = execute(&Command::Sweep(base.clone())).unwrap();
-        let threaded =
-            execute(&Command::Sweep(SweepOptions { threads: 4, ..base.clone() })).unwrap();
+        let base = ["sweep", "--seeds", "4", "--samples", "40"];
+        let serial = cli(&[&base[..], &["--threads", "1"]].concat()).unwrap();
+        let threaded = cli(&[&base[..], &["--threads", "4"]].concat()).unwrap();
         assert_eq!(serial, threaded, "sweep output must not depend on worker count");
         assert!(serial.contains("3 providers x 4 seeds = 12 cells (12 ok, 0 failed)"));
         assert!(serial.contains("cell,scenario,seed,status"));
@@ -794,35 +765,31 @@ mod tests {
 
         // Sketch mode streams through aggregates; below the exact-mode
         // threshold its quantiles (and therefore the CSV) match exactly.
-        let sketch =
-            execute(&Command::Sweep(SweepOptions { quantile_mode: QuantileMode::Sketch, ..base }))
-                .unwrap();
-        assert_eq!(serial, sketch, "small sketch-mode sweeps stay exact");
+        let sketch = cli(&[&base[..], &["--threads", "1", "--quantile-mode", "sketch"]].concat());
+        assert_eq!(serial, sketch.unwrap(), "small sketch-mode sweeps stay exact");
     }
 
     #[test]
     fn sweep_writes_csv_report_to_file() {
         let out_path = write_temp("sweep-report.csv", "");
-        let opts = SweepOptions {
-            static_path: None,
-            runtime_path: Some(write_temp(
-                "sweep-runtime.json",
-                r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 10, "warmup_rounds": 1}"#,
-            )),
-            providers: vec!["aws-like".into()],
-            seeds: 2,
-            base_seed: 5,
-            samples: 100,
-            workloads: vec![],
-            policies: vec![],
-            faults: vec![],
-            apps: vec![],
-            threads: 0,
-            out: Some(out_path.clone()),
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let msg = execute(&Command::Sweep(opts)).unwrap();
+        let runtime_path = write_temp(
+            "sweep-runtime.json",
+            r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 10, "warmup_rounds": 1}"#,
+        );
+        let msg = cli(&[
+            "sweep",
+            "--runtime",
+            &runtime_path,
+            "--providers",
+            "aws-like",
+            "--seeds",
+            "2",
+            "--base-seed",
+            "5",
+            "--out",
+            &out_path,
+        ])
+        .unwrap();
         assert!(msg.contains("wrote report CSV"), "{msg}");
         let csv = std::fs::read_to_string(out_path).unwrap();
         assert!(csv.starts_with("cell,scenario,seed,status"));
@@ -837,49 +804,15 @@ mod tests {
             "ok-runtime.json",
             r#"{"iat": {"kind": "fixed", "ms": 1000.0}, "samples": 5}"#,
         );
-        let opts = RunOptions {
-            static_path: Some(static_path),
-            runtime_path: Some(runtime_path),
-            workload: None,
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 100,
-            warmup: 0,
-            provider: "aws-like".into(),
-            seed: 0,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let err = execute(&Command::Run(opts)).unwrap_err();
+        let err = cli(&["run", "--static", &static_path, "--runtime", &runtime_path]).unwrap_err();
         assert!(matches!(err, CliError::Config(_)), "{err}");
     }
 
     #[test]
     fn missing_files_error() {
-        let opts = RunOptions {
-            static_path: Some("/nonexistent/s.json".into()),
-            runtime_path: Some("/nonexistent/r.json".into()),
-            workload: None,
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 100,
-            warmup: 0,
-            provider: "aws-like".into(),
-            seed: 0,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        assert!(matches!(execute(&Command::Run(opts)).unwrap_err(), CliError::Io(..)));
+        let err =
+            cli(&["run", "--static", "/nonexistent/s.json", "--runtime", "/nonexistent/r.json"]);
+        assert!(matches!(err.unwrap_err(), CliError::Io(..)));
     }
 
     #[test]
@@ -892,25 +825,18 @@ mod tests {
 
     #[test]
     fn run_with_workload_preset_reports_offered_load() {
-        let opts = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some("mmpp-burst".into()),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 60,
-            warmup: 5,
-            provider: "aws-like".into(),
-            seed: 11,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let out = execute(&Command::Run(opts)).unwrap();
+        let out = cli(&[
+            "run",
+            "--workload",
+            "mmpp-burst",
+            "--samples",
+            "60",
+            "--warmup",
+            "5",
+            "--seed",
+            "11",
+        ])
+        .unwrap();
         assert!(out.contains("provider aws-like"), "{out}");
         assert!(out.contains("offered load: 65 arrivals"), "{out}");
         assert!(out.contains("Fano"), "{out}");
@@ -922,138 +848,68 @@ mod tests {
             "workload-spec.json",
             r#"{"arrival": {"kind": "exponential", "mean_ms": 100.0}}"#,
         );
-        let opts = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some(spec_path),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 30,
-            warmup: 0,
-            provider: "aws-like".into(),
-            seed: 2,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let out = execute(&Command::Run(opts)).unwrap();
+        let out =
+            cli(&["run", "--workload", &spec_path, "--samples", "30", "--seed", "2"]).unwrap();
         assert!(out.contains("offered load: 30 arrivals"), "{out}");
-        assert!(execute(&Command::Run(RunOptions {
-            workload: Some("no-such-preset-or-file".into()),
-            static_path: None,
-            runtime_path: None,
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 10,
-            warmup: 0,
-            provider: "aws-like".into(),
-            seed: 0,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        }))
-        .is_err());
+        assert!(cli(&["run", "--workload", "no-such-preset-or-file", "--samples", "10"]).is_err());
     }
 
     #[test]
     fn sweep_workload_axis_is_byte_identical_across_threads() {
-        let base = SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into(), "azure-like".into()],
-            seeds: 2,
-            base_seed: 0,
-            samples: 25,
-            workloads: vec!["poisson".into(), "mmpp-burst".into()],
-            policies: vec![],
-            faults: vec![],
-            apps: vec![],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let serial = execute(&Command::Sweep(base.clone())).unwrap();
-        let threaded =
-            execute(&Command::Sweep(SweepOptions { threads: 4, ..base.clone() })).unwrap();
+        let base = [
+            "sweep",
+            "--providers",
+            "aws-like,azure-like",
+            "--seeds",
+            "2",
+            "--samples",
+            "25",
+            "--workload",
+            "poisson,mmpp-burst",
+        ];
+        let serial = cli(&[&base[..], &["--threads", "1"]].concat()).unwrap();
+        let threaded = cli(&[&base[..], &["--threads", "4"]].concat()).unwrap();
         assert_eq!(serial, threaded, "workload sweep must not depend on worker count");
         assert!(serial.contains("2 providers x 2 workloads x 2 seeds = 8 cells (8 ok, 0 failed)"));
         assert!(serial.contains("aws-like/mmpp-burst"), "{serial}");
         assert!(serial.contains("azure-like/poisson"), "{serial}");
     }
 
+    /// `run --workload poisson --samples <samples> --warmup 2 --seed 5`
+    /// plus `extra`.
+    fn poisson_run(samples: &str, extra: &[&str]) -> Result<String, CliError> {
+        let base = ["run", "--workload", "poisson", "--samples", samples, "--warmup", "2"];
+        cli(&[&base[..], &["--seed", "5"], extra].concat())
+    }
+
     #[test]
     fn run_with_policy_reports_policy_lines_and_none_is_baseline() {
-        let base = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some("poisson".into()),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 30,
-            warmup: 2,
-            provider: "aws-like".into(),
-            seed: 5,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let plain = execute(&Command::Run(base.clone())).unwrap();
+        let plain = poisson_run("30", &[]).unwrap();
         assert!(!plain.contains("policy:"), "{plain}");
 
         // `--policy none` is the baseline: byte-identical to no flag.
-        let none =
-            execute(&Command::Run(RunOptions { policy: Some("none".into()), ..base.clone() }))
-                .unwrap();
+        let none = poisson_run("30", &["--policy", "none"]).unwrap();
         assert_eq!(plain, none, "--policy none must not change the run");
 
-        let tied =
-            execute(&Command::Run(RunOptions { policy: Some("tied-2".into()), ..base.clone() }))
-                .unwrap();
+        let tied = poisson_run("30", &["--policy", "tied-2"]).unwrap();
         assert!(tied.contains("policy: 32 logical requests, 32 extra launches"), "{tied}");
         assert!(tied.contains("wasted work:"), "{tied}");
 
         // Unknown preset that is not a file errors cleanly.
-        assert!(execute(&Command::Run(RunOptions {
-            policy: Some("no-such-policy".into()),
-            ..base
-        }))
-        .is_err());
+        assert!(poisson_run("30", &["--policy", "no-such-policy"]).is_err());
+    }
+
+    /// `sweep --providers aws-like --seeds 2 --samples <samples>` plus
+    /// `extra`, at 1 and at 4 worker threads.
+    fn sweep_both_ways(samples: &str, extra: &[&str]) -> (String, String) {
+        let base = ["sweep", "--providers", "aws-like", "--seeds", "2", "--samples", samples];
+        let run = |threads| cli(&[&base[..], extra, &["--threads", threads]].concat()).unwrap();
+        (run("1"), run("4"))
     }
 
     #[test]
     fn sweep_policy_axis_is_byte_identical_across_threads() {
-        let base = SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into()],
-            seeds: 2,
-            base_seed: 0,
-            samples: 25,
-            workloads: vec![],
-            policies: vec!["none".into(), "tied-2".into()],
-            faults: vec![],
-            apps: vec![],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let serial = execute(&Command::Sweep(base.clone())).unwrap();
-        let threaded =
-            execute(&Command::Sweep(SweepOptions { threads: 4, ..base.clone() })).unwrap();
+        let (serial, threaded) = sweep_both_ways("25", &["--policy", "none,tied-2"]);
         assert_eq!(serial, threaded, "policy sweep must not depend on worker count");
         assert!(serial.contains("1 providers x 2 policies x 2 seeds = 4 cells (4 ok, 0 failed)"));
         assert!(serial.contains("p999_ms,hedge_rate,wasted_fraction"), "{serial}");
@@ -1061,88 +917,37 @@ mod tests {
         assert!(serial.contains("aws-like+tied-2"), "{serial}");
 
         // Policies compose with the workload axis.
-        let both =
-            execute(&Command::Sweep(SweepOptions { workloads: vec!["poisson".into()], ..base }))
-                .unwrap();
+        let (both, _) =
+            sweep_both_ways("25", &["--policy", "none,tied-2", "--workload", "poisson"]);
         assert!(both.contains("1 providers x 1 workloads x 2 policies x 2 seeds"), "{both}");
         assert!(both.contains("aws-like/poisson+tied-2"), "{both}");
     }
 
     #[test]
     fn run_with_faults_reports_fault_lines_and_none_is_baseline() {
-        let base = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some("poisson".into()),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 60,
-            warmup: 2,
-            provider: "aws-like".into(),
-            seed: 5,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let plain = execute(&Command::Run(base.clone())).unwrap();
+        let plain = poisson_run("60", &[]).unwrap();
         assert!(!plain.contains("faults:"), "{plain}");
 
         // `--faults none` is the baseline: byte-identical to no flag.
-        let none =
-            execute(&Command::Run(RunOptions { faults: Some("none".into()), ..base.clone() }))
-                .unwrap();
+        let none = poisson_run("60", &["--faults", "none"]).unwrap();
         assert_eq!(plain, none, "--faults none must not change the run");
 
-        let throttled = execute(&Command::Run(RunOptions {
-            faults: Some("throttle-5pct".into()),
-            ..base.clone()
-        }))
-        .unwrap();
+        let throttled = poisson_run("60", &["--faults", "throttle-5pct"]).unwrap();
         assert!(throttled.contains("faults:"), "{throttled}");
         assert!(throttled.contains("degradation: availability"), "{throttled}");
 
         // Retrying policies report their amplification under faults.
-        let retried = execute(&Command::Run(RunOptions {
-            faults: Some("throttle-5pct".into()),
-            policy: Some("retry-backoff".into()),
-            ..base.clone()
-        }))
-        .unwrap();
+        let retried =
+            poisson_run("60", &["--faults", "throttle-5pct", "--policy", "retry-backoff"]).unwrap();
         assert!(retried.contains("retry amplification:"), "{retried}");
 
         // Unknown preset that is not a file errors cleanly.
-        assert!(execute(&Command::Run(RunOptions {
-            faults: Some("no-such-fault-model".into()),
-            ..base
-        }))
-        .is_err());
+        assert!(poisson_run("60", &["--faults", "no-such-fault-model"]).is_err());
     }
 
     #[test]
     fn sweep_faults_axis_is_byte_identical_across_threads() {
-        let base = SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into()],
-            seeds: 2,
-            base_seed: 0,
-            samples: 25,
-            workloads: vec![],
-            policies: vec![],
-            faults: vec!["none".into(), "throttle-5pct".into()],
-            apps: vec![],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let serial = execute(&Command::Sweep(base.clone())).unwrap();
-        let threaded =
-            execute(&Command::Sweep(SweepOptions { threads: 4, ..base.clone() })).unwrap();
+        let (serial, threaded) = sweep_both_ways("25", &["--faults", "none,throttle-5pct"]);
         assert_eq!(serial, threaded, "fault sweep must not depend on worker count");
         assert!(
             serial.contains("1 providers x 2 fault models x 2 seeds = 4 cells (4 ok, 0 failed)"),
@@ -1153,46 +958,22 @@ mod tests {
         assert!(serial.contains("aws-like~throttle-5pct"), "{serial}");
 
         // Faults compose with the policy axis: "{provider}+{policy}~{fault}".
-        let both =
-            execute(&Command::Sweep(SweepOptions { policies: vec!["tied-2".into()], ..base }))
-                .unwrap();
+        let (both, _) =
+            sweep_both_ways("25", &["--faults", "none,throttle-5pct", "--policy", "tied-2"]);
         assert!(both.contains("1 providers x 1 policies x 2 fault models x 2 seeds"), "{both}");
         assert!(both.contains("aws-like+tied-2~throttle-5pct"), "{both}");
     }
 
     #[test]
     fn run_with_app_reports_stage_breakdown_and_none_is_baseline() {
-        let base = RunOptions {
-            static_path: None,
-            runtime_path: None,
-            workload: Some("poisson".into()),
-            policy: None,
-            faults: None,
-            app: None,
-            samples: 30,
-            warmup: 2,
-            provider: "aws-like".into(),
-            seed: 5,
-            breakdown: false,
-            cdf: false,
-            csv: None,
-            svg: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let plain = execute(&Command::Run(base.clone())).unwrap();
+        let plain = poisson_run("30", &[]).unwrap();
         assert!(!plain.contains("application"), "{plain}");
 
         // `--app none` is the baseline: byte-identical to no flag.
-        let none = execute(&Command::Run(RunOptions { app: Some("none".into()), ..base.clone() }))
-            .unwrap();
+        let none = poisson_run("30", &["--app", "none"]).unwrap();
         assert_eq!(plain, none, "--app none must not change the run");
 
-        let fan = execute(&Command::Run(RunOptions {
-            app: Some("scatter-gather".into()),
-            ..base.clone()
-        }))
-        .unwrap();
+        let fan = poisson_run("30", &["--app", "scatter-gather"]).unwrap();
         assert!(fan.contains("application scatter-gather"), "{fan}");
         assert!(fan.contains("straggler amplification"), "{fan}");
         assert!(fan.contains("join gather:"), "{fan}");
@@ -1202,32 +983,12 @@ mod tests {
         for name in appsuite::preset_names() {
             assert!(resolve_app(name).unwrap().is_some(), "{name} must resolve");
         }
-        assert!(
-            execute(&Command::Run(RunOptions { app: Some("no-such-app".into()), ..base })).is_err()
-        );
+        assert!(poisson_run("30", &["--app", "no-such-app"]).is_err());
     }
 
     #[test]
     fn sweep_app_axis_is_byte_identical_across_threads() {
-        let base = SweepOptions {
-            static_path: None,
-            runtime_path: None,
-            providers: vec!["aws-like".into()],
-            seeds: 2,
-            base_seed: 0,
-            samples: 20,
-            workloads: vec![],
-            policies: vec![],
-            faults: vec![],
-            apps: vec!["none".into(), "thumbnail".into()],
-            threads: 1,
-            out: None,
-            quantile_mode: QuantileMode::Exact,
-            profile_events: false,
-        };
-        let serial = execute(&Command::Sweep(base.clone())).unwrap();
-        let threaded =
-            execute(&Command::Sweep(SweepOptions { threads: 4, ..base.clone() })).unwrap();
+        let (serial, threaded) = sweep_both_ways("20", &["--app", "none,thumbnail"]);
         assert_eq!(serial, threaded, "app sweep must not depend on worker count");
         assert!(
             serial.contains("1 providers x 2 apps x 2 seeds = 4 cells (4 ok, 0 failed)"),
@@ -1238,9 +999,8 @@ mod tests {
         assert!(serial.contains("aws-like@thumbnail"), "{serial}");
 
         // Apps compose with the workload axis: "{provider}@{app}/{workload}".
-        let both =
-            execute(&Command::Sweep(SweepOptions { workloads: vec!["poisson".into()], ..base }))
-                .unwrap();
+        let (both, _) =
+            sweep_both_ways("20", &["--app", "none,thumbnail", "--workload", "poisson"]);
         assert!(both.contains("1 providers x 2 apps x 1 workloads x 2 seeds"), "{both}");
         assert!(both.contains("aws-like@thumbnail/poisson"), "{both}");
     }

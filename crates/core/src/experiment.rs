@@ -15,6 +15,7 @@ use stats::Summary;
 use crate::client::{run_workload_with, ClientError, MeasureSpec, RunResult};
 use crate::config::{RuntimeConfig, StaticConfig};
 use crate::deployer::{deploy, Deployment, Endpoint};
+use crate::runner::Scenario;
 
 /// Errors from running an experiment.
 #[derive(Debug)]
@@ -48,7 +49,7 @@ impl From<ClientError> for ExperimentError {
     }
 }
 
-/// A fully specified experiment.
+/// A [`Scenario`] run at a seed, with how it is measured and simulated.
 ///
 /// # Examples
 ///
@@ -68,15 +69,12 @@ impl From<ClientError> for ExperimentError {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    provider: ProviderConfig,
-    static_cfg: StaticConfig,
-    runtime_cfg: RuntimeConfig,
+    scenario: Scenario,
     seed: u64,
     trace_capacity: Option<usize>,
     measure: MeasureSpec,
     queue: QueueKind,
     profile_events: bool,
-    dag: Option<DagSpec>,
 }
 
 /// Latency breakdown of one workflow stage (DAG node), over every
@@ -156,24 +154,26 @@ impl Outcome {
     }
 }
 
-impl Experiment {
-    /// Starts building an experiment against `provider` with defaults:
-    /// one Python ZIP function, 100 single invocations at the short IAT,
-    /// seed 0.
-    pub fn new(provider: ProviderConfig) -> Experiment {
+impl From<Scenario> for Experiment {
+    /// Runs `scenario` at seed 0, untraced and unprofiled, with the
+    /// default measurement and queue backend.
+    fn from(scenario: Scenario) -> Experiment {
         Experiment {
-            provider,
-            static_cfg: StaticConfig {
-                functions: vec![crate::config::StaticFunction::python_zip("fn")],
-            },
-            runtime_cfg: RuntimeConfig::single(crate::config::IatSpec::short(), 100),
+            scenario,
             seed: 0,
             trace_capacity: None,
             measure: MeasureSpec::default(),
             queue: QueueKind::default(),
             profile_events: false,
-            dag: None,
         }
+    }
+}
+
+impl Experiment {
+    /// Starts building an experiment against `provider` with
+    /// [`Scenario::new`]'s defaults at seed 0.
+    pub fn new(provider: ProviderConfig) -> Experiment {
+        Experiment::from(Scenario::new(provider.name.clone(), provider))
     }
 
     /// Runs an application workflow instead of the static function set:
@@ -183,19 +183,19 @@ impl Experiment {
     /// with a legacy chain configuration; node execution-time models
     /// override the runtime `exec_ms`.
     pub fn app(mut self, spec: DagSpec) -> Experiment {
-        self.dag = Some(spec);
+        self.scenario.dag = Some(spec);
         self
     }
 
     /// Sets the static (deployer) configuration.
     pub fn functions(mut self, cfg: StaticConfig) -> Experiment {
-        self.static_cfg = cfg;
+        self.scenario.static_cfg = cfg;
         self
     }
 
     /// Sets the runtime (client) configuration.
     pub fn workload(mut self, cfg: RuntimeConfig) -> Experiment {
-        self.runtime_cfg = cfg;
+        self.scenario.runtime_cfg = cfg;
         self
     }
 
@@ -247,16 +247,17 @@ impl Experiment {
     ///
     /// Returns [`ExperimentError`] on deploy or client failure.
     pub fn run(&self) -> Result<Outcome, ExperimentError> {
-        let mut cloud = CloudSim::with_queue(self.provider.clone(), self.seed, self.queue);
+        let Scenario { provider, static_cfg, runtime_cfg, dag, .. } = &self.scenario;
+        let mut cloud = CloudSim::with_queue(provider.clone(), self.seed, self.queue);
         if let Some(capacity) = self.trace_capacity {
             cloud.enable_tracing(capacity);
         }
         if self.profile_events {
             cloud.enable_event_profiling();
         }
-        let dag_plan = match &self.dag {
+        let dag_plan = match dag {
             Some(spec) => {
-                if self.runtime_cfg.chain.is_some() {
+                if runtime_cfg.chain.is_some() {
                     return Err(ExperimentError::Deploy(DeployError::InvalidSpec(
                         "an application workflow and a legacy chain are mutually exclusive"
                             .to_string(),
@@ -268,7 +269,7 @@ impl Experiment {
         };
         let (deployment, dag_deployment) = match &dag_plan {
             Some(plan) => {
-                self.runtime_cfg.validate().map_err(DeployError::InvalidSpec)?;
+                runtime_cfg.validate().map_err(DeployError::InvalidSpec)?;
                 let dep = cloud.deploy_dag(plan)?;
                 let endpoint = Endpoint {
                     url: format!("https://{}.sim/{}", cloud.config().name, plan.name),
@@ -277,22 +278,17 @@ impl Experiment {
                 };
                 (Deployment { endpoints: vec![endpoint] }, Some(dep))
             }
-            None => (deploy(&mut cloud, &self.static_cfg, &self.runtime_cfg)?, None),
+            None => (deploy(&mut cloud, static_cfg, runtime_cfg)?, None),
         };
         // Install the fault schedule (if any) before submitting work.
         // Inert specs compile to inert plans, which the cloud skips —
         // so a `faults: none` run stays byte-identical to a faults-off
         // one.
-        if let Some(spec) = &self.runtime_cfg.faults {
+        if let Some(spec) = &runtime_cfg.faults {
             cloud.install_faults(spec.build());
         }
-        let mut result = run_workload_with(
-            &mut cloud,
-            &deployment,
-            &self.runtime_cfg,
-            self.seed,
-            &self.measure,
-        )?;
+        let mut result =
+            run_workload_with(&mut cloud, &deployment, runtime_cfg, self.seed, &self.measure)?;
         // Both modes summarise through the same aggregate: in exact mode
         // the aggregate's buffer holds every sample and `summary()`
         // delegates to the sorted exact path, so the output is

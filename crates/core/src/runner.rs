@@ -64,8 +64,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with the [`Experiment`] defaults (one Python ZIP
-    /// function, 100 single invocations at the short IAT).
+    /// The default scenario: one Python ZIP function, 100 single
+    /// invocations at the short IAT. [`Experiment::new`] starts from it.
     pub fn new<S: Into<String>>(label: S, provider: ProviderConfig) -> Scenario {
         Scenario {
             label: label.into(),
@@ -592,17 +592,12 @@ impl SweepRunner {
     fn run_cell(&self, grid: &SweepGrid, index: usize) -> CellResult {
         let (scenario, seed) = grid.cell(index);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut experiment = Experiment::new(scenario.provider.clone())
-                .functions(scenario.static_cfg.clone())
-                .workload(scenario.runtime_cfg.clone())
+            Experiment::from(scenario.clone())
                 .seed(seed)
                 .queue(self.queue)
                 .measure(self.measure)
-                .profile_events(self.profile_events);
-            if let Some(dag) = &scenario.dag {
-                experiment = experiment.app(dag.clone());
-            }
-            experiment.run()
+                .profile_events(self.profile_events)
+                .run()
         }));
         let (result, metrics, agg) = match outcome {
             Ok(Ok(outcome)) => (

@@ -332,6 +332,20 @@ impl Model for Cloud {
 
     fn handle(&mut self, now: SimTime, event: CloudEvent, sched: &mut Sched) {
         match event {
+            // A cancelled request is retired by the next event that
+            // touches it: the cancel already released its instance and
+            // booked its waste, so a stale request-path event forks,
+            // draws and records nothing.
+            CloudEvent::FrontendArrive(rid)
+            | CloudEvent::RoutingDone(rid)
+            | CloudEvent::Enqueued(rid)
+            | CloudEvent::ComputeDone(rid, _)
+            | CloudEvent::ExecDone(rid, _)
+            | CloudEvent::Completed(rid)
+                if self.hot(rid).cancelled() =>
+            {
+                self.free_cancelled(rid)
+            }
             CloudEvent::FrontendArrive(rid) => self.on_frontend_arrive(now, rid, sched),
             CloudEvent::RoutingDone(rid) => self.on_routing_done(now, rid, sched),
             CloudEvent::Enqueued(rid) => self.on_enqueued(now, rid, sched),

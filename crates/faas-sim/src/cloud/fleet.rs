@@ -11,46 +11,51 @@ use crate::config::ScalePolicy;
 use crate::events::CloudEvent;
 use crate::instance::KeepAliveFire;
 use crate::request::ColdBreakdown;
-use crate::scheduler::{desired_spawns, periodic_step};
+use crate::scheduler::{bootstrap_spawns, periodic_step};
 use crate::types::{DeploymentMethod, FunctionId, InstanceId, RequestId};
 
 impl Cloud {
-    /// Applies the provider's scale-out policy after a queue change.
+    /// Runs the periodic scale controller after a queue change: the
+    /// bootstrap spawn, then the scale tick armed while a backlog exists.
+    /// Only the periodic policy queues requests in the shared pull queue
+    /// (every other policy has a commit cap and spawns at enqueue), so
+    /// it is the only policy that reaches here.
     pub(super) fn scale(&mut self, now: SimTime, fid: FunctionId, sched: &mut Sched) {
-        let policy = self.cfg.scaling.policy;
+        let (interval_ms, _) = self.periodic();
         let pool = self.pool(fid);
         let headroom = pool.headroom(self.cfg.limits.max_instances_per_function);
-        let want = desired_spawns(&policy, pool.snapshot()).min(headroom);
+        let want = bootstrap_spawns(pool.snapshot()).min(headroom);
         for _ in 0..want {
             self.spawn_instance(now, fid, sched);
         }
-        // Arm the periodic scale controller if needed.
-        if let ScalePolicy::Periodic { interval_ms, .. } = policy {
-            let state = self.fstate_mut(fid);
-            if !state.scale_tick_armed && state.pool.queued() > 0 {
-                state.scale_tick_armed = true;
-                sched.schedule_in(
-                    now,
-                    SimTime::from_millis(interval_ms),
-                    CloudEvent::ScaleTick(fid),
-                );
-            }
+        let state = self.fstate_mut(fid);
+        if !state.scale_tick_armed && state.pool.queued() > 0 {
+            state.scale_tick_armed = true;
+            sched.schedule_in(now, SimTime::from_millis(interval_ms), CloudEvent::ScaleTick(fid));
         }
     }
 
     pub(super) fn on_scale_tick(&mut self, now: SimTime, fid: FunctionId, sched: &mut Sched) {
-        let policy = self.cfg.scaling.policy;
+        let (interval_ms, step) = self.periodic();
         let pool = self.pool(fid);
         let headroom = pool.headroom(self.cfg.limits.max_instances_per_function);
-        let add = periodic_step(&policy, pool.snapshot()).min(headroom);
+        let add = periodic_step(step, pool.snapshot()).min(headroom);
         for _ in 0..add {
             self.spawn_instance(now, fid, sched);
         }
         let state = self.fstate_mut(fid);
         if state.pool.queued() == 0 {
             state.scale_tick_armed = false;
-        } else if let ScalePolicy::Periodic { interval_ms, .. } = policy {
+        } else {
             sched.schedule_in(now, SimTime::from_millis(interval_ms), CloudEvent::ScaleTick(fid));
+        }
+    }
+
+    /// The periodic controller's tick interval (ms) and step.
+    fn periodic(&self) -> (f64, u32) {
+        match self.cfg.scaling.policy {
+            ScalePolicy::Periodic { interval_ms, step } => (interval_ms, step),
+            _ => unreachable!("only the periodic policy scales through the shared queue"),
         }
     }
 

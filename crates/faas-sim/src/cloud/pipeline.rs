@@ -10,10 +10,6 @@ use crate::types::{bytes_to_mb, FunctionId, InstanceId, RequestId, TransferMode}
 
 impl Cloud {
     pub(super) fn on_frontend_arrive(&mut self, now: SimTime, rid: RequestId, sched: &mut Sched) {
-        if self.hot(rid).cancelled() {
-            self.free_cancelled(rid);
-            return;
-        }
         // Transient provider errors (throttle / 5xx) reject external
         // requests at the front door.
         if self.cold(rid).origin.is_external() {
@@ -60,10 +56,6 @@ impl Cloud {
     }
 
     pub(super) fn on_routing_done(&mut self, now: SimTime, rid: RequestId, sched: &mut Sched) {
-        if self.hot(rid).cancelled() {
-            self.free_cancelled(rid);
-            return;
-        }
         let outcome = self.dispatch.dispatch(now, &mut self.streams.lb);
         self.cold_mut(rid).breakdown.dispatch_wait_ms = (outcome.ready_at - now).as_millis();
         self.emit_span(rid, span_tag::DISPATCH_WAIT, now, outcome.ready_at);
@@ -71,10 +63,6 @@ impl Cloud {
     }
 
     pub(super) fn on_enqueued(&mut self, now: SimTime, rid: RequestId, sched: &mut Sched) {
-        if self.hot(rid).cancelled() {
-            self.free_cancelled(rid);
-            return;
-        }
         let fid = self.hot(rid).function;
         let snap = self.pool(fid).snapshot();
 
@@ -267,12 +255,6 @@ impl Cloud {
         iid: InstanceId,
         sched: &mut Sched,
     ) {
-        if self.hot(rid).cancelled() {
-            // Cancelled mid-execution: the cancel freed the instance; this
-            // stale event retires the slot and forks nothing.
-            self.free_cancelled(rid);
-            return;
-        }
         let fid = self.hot(rid).function;
         if !self.fstate(fid).out.is_empty() {
             self.dag_fork(now, rid, fid, sched);
@@ -299,12 +281,6 @@ impl Cloud {
         iid: InstanceId,
         sched: &mut Sched,
     ) {
-        if self.hot(rid).cancelled() {
-            // Cancelled between compute finishing and the response
-            // leaving: the cancel already released the instance.
-            self.free_cancelled(rid);
-            return;
-        }
         let is_external = self.cold(rid).origin.is_external();
         let response_ms = self.cold(rid).warm_overhead_ms * self.cfg.warm_path.shares.response;
         let mut prop_back_ms = if is_external {
@@ -340,12 +316,6 @@ impl Cloud {
     }
 
     pub(super) fn on_completed(&mut self, now: SimTime, rid: RequestId, sched: &mut Sched) {
-        if self.hot(rid).cancelled() {
-            // A cancelled request's response arrives dead (its waste was
-            // booked at cancel time): just retire the slot.
-            self.free_cancelled(rid);
-            return;
-        }
         {
             let hot = self.hot_mut(rid);
             assert!(!hot.done(), "request {rid} completed twice");

@@ -3,13 +3,13 @@
 //! [`SpawnGovernor`] paces instance spawns at the provider's sustained
 //! rate, with burst capacity and an optional adaptive boost under large
 //! backlogs (paper §VI-D2 infers such load adaptation from Google's
-//! burst-500 behaviour). [`desired_spawns`] computes how many new
-//! instances a [`ScalePolicy`] wants given the current function state.
+//! burst-500 behaviour). [`bootstrap_spawns`] and [`periodic_step`] size
+//! the periodic controller's scale-out from the current function state.
 
 use simkit::ratelimit::TokenBucket;
 use simkit::time::SimTime;
 
-use crate::config::{ScalePolicy, ScalingConfig};
+use crate::config::ScalingConfig;
 
 /// Paces instance spawns.
 #[derive(Debug)]
@@ -87,47 +87,28 @@ impl CapacitySnapshot {
     }
 }
 
-/// How many *additional* instances the policy wants to spawn right now.
-///
-/// * `PerRequest`: one instance per queued request not already covered by
-///   an idle or booting instance.
-/// * `TargetConcurrency`: enough instances that outstanding work per
-///   instance stays at or below `target`.
-/// * `Periodic`: zero here — growth happens on scale ticks (see
-///   [`periodic_step`]); only the bootstrap instance is requested when the
-///   function has no capacity at all.
-pub fn desired_spawns(policy: &ScalePolicy, snap: CapacitySnapshot) -> u32 {
-    match policy {
-        ScalePolicy::PerRequest => snap.queued.saturating_sub(snap.idle + snap.booting),
-        ScalePolicy::TargetConcurrency { target } => {
-            let outstanding = snap.queued + snap.busy;
-            let desired = (outstanding as f64 / target).ceil() as u32;
-            desired.saturating_sub(snap.total_instances())
-        }
-        ScalePolicy::Periodic { .. } => {
-            if snap.total_instances() == 0 && snap.queued > 0 {
-                1
-            } else {
-                0
-            }
-        }
-        // Committed-assignment policies spawn inline at enqueue time.
-        ScalePolicy::CostAware { .. } => 0,
-    }
+/// Instances the periodic controller spawns on a queue change: one
+/// bootstrap instance when the function has queued work and no capacity
+/// at all. Growth happens on scale ticks ([`periodic_step`]); committed-
+/// assignment policies spawn inline at enqueue time and never get here.
+pub fn bootstrap_spawns(snap: CapacitySnapshot) -> u32 {
+    u32::from(snap.total_instances() == 0 && snap.queued > 0)
 }
 
 /// Instances to add on one periodic scale tick (Azure-style controller):
 /// `step` while a backlog exists, 0 otherwise.
-pub fn periodic_step(policy: &ScalePolicy, snap: CapacitySnapshot) -> u32 {
-    match policy {
-        ScalePolicy::Periodic { step, .. } if snap.queued > 0 => *step,
-        _ => 0,
+pub fn periodic_step(step: u32, snap: CapacitySnapshot) -> u32 {
+    if snap.queued > 0 {
+        step
+    } else {
+        0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ScalePolicy;
     use simkit::dist::Dist;
 
     fn scaling(policy: ScalePolicy) -> ScalingConfig {
@@ -185,39 +166,16 @@ mod tests {
     }
 
     #[test]
-    fn per_request_spawns_one_per_uncovered_request() {
-        let p = ScalePolicy::PerRequest;
-        assert_eq!(desired_spawns(&p, snap(5, 0, 0, 0)), 5);
-        assert_eq!(desired_spawns(&p, snap(5, 0, 2, 1)), 2);
-        assert_eq!(desired_spawns(&p, snap(1, 3, 2, 0)), 0);
-    }
-
-    #[test]
-    fn target_concurrency_sizes_fleet() {
-        let p = ScalePolicy::TargetConcurrency { target: 4.0 };
-        // 100 outstanding / 4 = 25 desired.
-        assert_eq!(desired_spawns(&p, snap(100, 0, 0, 0)), 25);
-        assert_eq!(desired_spawns(&p, snap(100, 0, 0, 20)), 5);
-        // 3 queued + 1 busy = 4 outstanding, covered by the busy instance.
-        assert_eq!(desired_spawns(&p, snap(3, 1, 0, 0)), 0);
-        assert_eq!(desired_spawns(&p, snap(5, 1, 0, 0)), 1);
-        assert_eq!(desired_spawns(&p, snap(0, 0, 5, 0)), 0);
-    }
-
-    #[test]
     fn periodic_only_bootstraps() {
-        let p = ScalePolicy::Periodic { interval_ms: 1000.0, step: 2 };
-        assert_eq!(desired_spawns(&p, snap(50, 0, 0, 0)), 1);
-        assert_eq!(desired_spawns(&p, snap(50, 0, 0, 1)), 0);
-        assert_eq!(desired_spawns(&p, snap(50, 1, 0, 0)), 0);
+        assert_eq!(bootstrap_spawns(snap(50, 0, 0, 0)), 1);
+        assert_eq!(bootstrap_spawns(snap(50, 0, 0, 1)), 0);
+        assert_eq!(bootstrap_spawns(snap(50, 1, 0, 0)), 0);
     }
 
     #[test]
     fn periodic_step_adds_while_backlogged() {
-        let p = ScalePolicy::Periodic { interval_ms: 1000.0, step: 2 };
-        assert_eq!(periodic_step(&p, snap(10, 1, 0, 0)), 2);
-        assert_eq!(periodic_step(&p, snap(0, 1, 0, 0)), 0);
-        assert_eq!(periodic_step(&ScalePolicy::PerRequest, snap(10, 0, 0, 0)), 0);
+        assert_eq!(periodic_step(2, snap(10, 1, 0, 0)), 2);
+        assert_eq!(periodic_step(2, snap(0, 1, 0, 0)), 0);
     }
 
     #[test]
